@@ -7,7 +7,7 @@ their excitatory activations.
 
 import numpy as np
 
-from wtanet import ExpansionSpec, WtaModel, expand, expansion_dim, forward
+from wtanet import ExpansionSpec, WtaModel, expand, expansion_dim, predict
 
 # A one-dimensional input with three harmonics per component:
 spec = ExpansionSpec(input_dim=1, order=3)
@@ -30,13 +30,13 @@ model = WtaModel(
     rng.uniform(-1, 1, size=(2, expansion_dim(spec))),
     rng.uniform(-0.2, 0.2, size=(2, expansion_dim(spec))),
 )
-pred = forward(model, s)
-print(f"\nexcitations: {np.round(pred.excitation, 4)}")
-print(f"winner: unit {pred.winner}")
-print(f"output (excitatory - inhibitory response): {pred.output:.6f}")
+winners, outputs = predict(model, [s])
+print(f"\nexcitations: {np.round(model.excitatory @ pattern, 4)}")
+print(f"winner: unit {winners[0]}")
+print(f"output (excitatory - inhibitory response): {outputs[0]:.6f}")
 
 # The competition is scale-invariant: scaling every excitatory vector by
 # the same positive constant never changes the winner.
 scaled = WtaModel(spec, model.excitatory * 7.5, model.inhibitory)
-assert forward(scaled, s).winner == pred.winner
+assert predict(scaled, [s])[0][0] == winners[0]
 print("\nscaling all excitatory weights by 7.5 keeps the same winner")

@@ -15,6 +15,7 @@ from wtanet import (
     RunConfig,
     gen_noisy,
     least_squares_oracle,
+    predict,
     run_experiment,
     train,
 )
@@ -46,9 +47,8 @@ for name, value in sorted(result.report.metrics.items()):
     print(f"  test {name}: {value:.4f}")
 
 # --- 3. A coarse look at the fitted curve ------------------------------
-model = result.model
-from wtanet import forward  # noqa: E402
+xs = np.linspace(0.05, 0.95, 7)
+_, outputs = predict(result.model, xs[:, np.newaxis])
 print("\n  x      target    prediction")
-for x in np.linspace(0.05, 0.95, 7):
-    pred = forward(model, [x])
-    print(f"  {x:.2f}  {np.sin(2 * np.pi * x):+.4f}   {pred.output:+.4f}")
+for x, out in zip(xs, outputs):
+    print(f"  {x:.2f}  {np.sin(2 * np.pi * x):+.4f}   {out:+.4f}")

@@ -32,7 +32,7 @@ print("\ntest metrics:")
 for name, value in sorted(result.report.metrics.items()):
     print(f"  {name}: {value:.4f}")
 
-outputs = np.array([p.output for p in result.predictions])
+outputs = result.outputs
 targets = result.test_data.targets
 worst = int(np.argmax(np.abs(outputs - targets)))
 print(f"\nworst test point: predicted {outputs[worst]:.4f} "

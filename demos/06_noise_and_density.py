@@ -6,8 +6,6 @@ spread should grow along x.  Density: enlarging the harmonic basis never
 hurts the best attainable fit.
 """
 
-import numpy as np
-
 from wtanet import GaConfig, RunConfig, density_check, gen_function, run_experiment
 
 # --- constant noise -----------------------------------------------------
@@ -19,8 +17,7 @@ result = run_experiment(RunConfig.from_dict({
     "split": {"train_fraction": 0.7},
     "seed": 8,
 }), write=False)
-outputs = np.array([p.output for p in result.predictions])
-residuals = result.test_data.targets - outputs
+residuals = result.test_data.targets - result.outputs
 print(f"constant sigma=0.1: trained-model residual std {residuals.std():.4f}")
 
 # --- heteroscedastic noise ----------------------------------------------
@@ -32,9 +29,8 @@ result = run_experiment(RunConfig.from_dict({
     "split": {"train_fraction": 0.7},
     "seed": 8,
 }), write=False)
-outputs = np.array([p.output for p in result.predictions])
 x = result.test_data.inputs[:, 0]
-residuals = result.test_data.targets - outputs
+residuals = result.test_data.targets - result.outputs
 print("heteroscedastic sigma(x) = 0.3*x, residual std per x-bin:")
 for lo, hi in ((0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.01)):
     band = residuals[(x >= lo) & (x < hi)]

@@ -30,7 +30,9 @@ from .data import (
     gen_mackey_glass,
     gen_noisy,
     load_csv,
+    load_features,
     load_series_csv,
+    normalize,
     series_to_csv,
     split_dataset,
     window_series,
@@ -44,20 +46,16 @@ from .ga import (
     decode,
     encode,
     evolve_generation,
-    fitness,
     trace_to_csv,
     train,
 )
 from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
 from .model import (
-    EmotionalUnit,
-    Prediction,
     WtaModel,
-    forward,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_batch,
+    predict,
     save_model,
 )
 from .select import (
@@ -77,7 +75,6 @@ __all__ = [
     "REGRESSION",
     "Dataset",
     "DensityReport",
-    "EmotionalUnit",
     "EvalReport",
     "ExpansionSpec",
     "ExperimentResult",
@@ -88,7 +85,6 @@ __all__ = [
     "ModelShape",
     "OracleFit",
     "PhaseError",
-    "Prediction",
     "RunConfig",
     "SplitSpec",
     "TrainTrace",
@@ -104,21 +100,21 @@ __all__ = [
     "expand",
     "expand_batch",
     "expansion_dim",
-    "fitness",
-    "forward",
     "gen_function",
     "gen_mackey_glass",
     "gen_noisy",
     "kwta",
     "least_squares_oracle",
     "load_csv",
+    "load_features",
     "load_model",
     "load_series_csv",
     "mae",
     "model_from_dict",
     "model_to_dict",
+    "normalize",
     "nrmse",
-    "predict_batch",
+    "predict",
     "rmse",
     "run_experiment",
     "save_model",

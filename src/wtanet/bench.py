@@ -33,7 +33,7 @@ from .data import (
 from .expansion import ExpansionSpec, expand_batch
 from .ga import GaConfig, ModelShape, TrainTrace, train, trace_to_csv
 from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
-from .model import IDENTITY, WtaModel, predict_batch, save_model
+from .model import IDENTITY, WtaModel, predict, save_model
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -53,6 +53,28 @@ class PhaseError(RuntimeError):
 
 def _phase_wrap(phase: str, exc: Exception) -> PhaseError:
     return PhaseError(phase, str(exc))
+
+
+# every key a run config may hold, per section ("" is the top level)
+_CONFIG_KEYS = {
+    "": {"format_version", "task", "dataset", "expansion", "model", "ga",
+         "split", "seed", "output", "density"},
+    "dataset": {"path", "target_column", "header", "series", "column",
+                "generator", "n_samples", "noise", "length", "window",
+                "horizon", "tau", "beta", "gamma", "exponent", "dt", "initial"},
+    "expansion": {"order", "include_bias"},
+    "model": {"mode", "units", "units_per_class", "activation"},
+    "split": {"train_fraction", "stratified", "seed"},
+}
+
+
+def _reject_unknown_keys(doc: dict) -> None:
+    for section, known in _CONFIG_KEYS.items():
+        keys = doc if not section else doc.get(section, {})
+        unknown = sorted(set(keys) - known)
+        if unknown:
+            prefix = f"{section}." if section else ""
+            raise ValueError(f"unknown key {prefix}{unknown[0]}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +102,7 @@ class RunConfig:
         version = doc.get("format_version", CONFIG_FORMAT_VERSION)
         if version != CONFIG_FORMAT_VERSION:
             raise ValueError(f"unsupported config format_version {version!r}")
+        _reject_unknown_keys(doc)
         for key in ("dataset", "expansion", "model"):
             if key not in doc:
                 raise ValueError(f"config is missing the {key!r} section")
@@ -187,7 +210,7 @@ class ExperimentResult:
     trace: TrainTrace
     train_data: Dataset
     test_data: Dataset
-    predictions: list
+    outputs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -320,26 +343,36 @@ def _resolve_shape(cfg: RunConfig, dataset: Dataset) -> ModelShape:
     )
 
 
-def _evaluate_model(model: WtaModel, test: Dataset) -> tuple[dict, list | None, list]:
-    predictions = predict_batch(model, test.inputs)
-    outputs = [p.output for p in predictions]
+def _model_labels(model: WtaModel, data: Dataset) -> np.ndarray:
+    # the file's first-appearance label ids, in the model's label order
+    if model.class_names is None or data.label_names is None:
+        return data.targets
+    position = {name: i for i, name in enumerate(model.class_names)}
+    unknown = [n for n in data.label_names if n not in position]
+    if unknown:
+        raise ValueError(f"labels {unknown} are not known to the model")
+    return np.array([position[name] for name in data.label_names])[data.targets]
+
+
+def _evaluate_model(model: WtaModel, data: Dataset) -> tuple[dict, list | None, np.ndarray]:
+    """Scores of the model on ``data``: metrics, confusion and the outputs."""
+    _, outputs = predict(model, data.inputs)
     if model.mode == CLASSIFICATION:
-        metrics = {"accuracy": accuracy(outputs, test.targets)}
-        confusion = confusion_matrix(
-            outputs, test.targets, n_classes=test.n_classes
-        ).tolist()
-        return metrics, confusion, predictions
+        targets = _model_labels(model, data)
+        n_classes = len(model.class_names) if model.class_names is not None else None
+        metrics = {"accuracy": accuracy(outputs, targets)}
+        confusion = confusion_matrix(outputs, targets, n_classes=n_classes).tolist()
+        return metrics, confusion, outputs
     metrics = {
-        "rmse": rmse(outputs, test.targets),
-        "mae": mae(outputs, test.targets),
+        "rmse": rmse(outputs, data.targets),
+        "mae": mae(outputs, data.targets),
     }
-    if float(np.std(test.targets)) > 0.0:
-        metrics["nrmse"] = nrmse(outputs, test.targets)
-    return metrics, None, predictions
+    if float(np.std(data.targets)) > 0.0:
+        metrics["nrmse"] = nrmse(outputs, data.targets)
+    return metrics, None, outputs
 
 
-def run_experiment(config: RunConfig, *, n_jobs: int = 1,
-                   out_dir: str | None = None,
+def run_experiment(config: RunConfig, *, out_dir: str | None = None,
                    write: bool = True) -> ExperimentResult:
     """Run one experiment end to end: data, split, training, evaluation.
 
@@ -369,20 +402,19 @@ def run_experiment(config: RunConfig, *, n_jobs: int = 1,
     try:
         shape = _resolve_shape(config, dataset)
         ga_config = config.ga.with_seed(config.seed + GA_SEED_OFFSET)
-        trace = train(shape, train_data, ga_config, n_jobs=n_jobs)
+        trace = train(shape, train_data, ga_config)
     except ValueError as exc:
         raise _phase_wrap("train", exc) from exc
 
-    model = trace.model
-    if model.mode == CLASSIFICATION and dataset.label_names is not None:
-        model = WtaModel(
-            model.spec, model.excitatory, model.inhibitory,
-            mode=model.mode, output_activation=model.output_activation,
-            class_of_unit=model.class_of_unit, class_names=dataset.label_names,
-        )
+    model = WtaModel(
+        trace.model.spec, trace.model.excitatory, trace.model.inhibitory,
+        mode=shape.mode, output_activation=shape.output_activation,
+        class_of_unit=shape.class_of_unit, class_names=dataset.label_names,
+        normalization=dataset.normalization,
+    )
 
     try:
-        metrics, confusion, predictions = _evaluate_model(model, test_data)
+        metrics, confusion, outputs = _evaluate_model(model, test_data)
     except ValueError as exc:
         raise _phase_wrap("evaluate", exc) from exc
 
@@ -431,7 +463,7 @@ def run_experiment(config: RunConfig, *, n_jobs: int = 1,
         trace=trace,
         train_data=train_data,
         test_data=test_data,
-        predictions=predictions,
+        outputs=outputs,
     )
 
 
@@ -463,7 +495,7 @@ def _non_increasing(values, slack: float) -> bool:
 
 def density_check(dataset: Dataset, k_values, n_units: int,
                   ga_config: GaConfig, seeds, *, slack: float = 0.02,
-                  include_oracle: bool = True, n_jobs: int = 1) -> DensityReport:
+                  include_oracle: bool = True) -> DensityReport:
     """Check that a richer basis never hurts the best attainable fit.
 
     For each expansion order the min-over-seeds final training RMSE is
@@ -487,8 +519,7 @@ def density_check(dataset: Dataset, k_values, n_units: int,
         shape = ModelShape(spec=spec, n_units=n_units, mode=REGRESSION)
         # min-over-seeds RMSE == max-over-seeds fitness (fitness is -MSE)
         best_fitness = max(
-            train(shape, dataset, ga_config.with_seed(seed), n_jobs=n_jobs)
-            .best_fitness_value
+            train(shape, dataset, ga_config.with_seed(seed)).best_fitness_value
             for seed in seeds
         )
         ga_rmse.append(float(np.sqrt(max(0.0, -best_fitness))))

@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bench, data as datamod
 from .bench import PhaseError, RunConfig, config_digest, run_experiment
 from .data import (
@@ -26,12 +24,12 @@ from .data import (
     gen_mackey_glass,
     gen_noisy,
     load_csv,
+    load_features,
     read_csv_matrix,
     series_to_csv,
     dataset_to_csv,
 )
-from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
-from .model import load_model, predict_batch
+from .model import load_model, predict
 from .select import kwta, solve_box_lp, solve_ksum_lp, solve_simplex_lp
 
 
@@ -130,76 +128,48 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_dataset(args, model):
-    return load_csv(
+def _load_serving_model(path):
+    model = load_model(path)
+    if model.normalization is None:
+        print(f"warning: model {path} records no training normalization; "
+              "the data file is normalized by its own range",
+              file=sys.stderr)
+    return model
+
+
+def _cmd_eval(args) -> int:
+    model = _load_serving_model(args.model)
+    dataset = load_csv(
         args.data,
         target_column=args.target_column,
         mode=model.mode,
         header=args.header,
+        normalization=model.normalization,
     )
-
-
-def _remap_labels(dataset, model):
-    # align the file's first-appearance label ids with the model's order
-    if model.mode != CLASSIFICATION or model.class_names is None \
-            or dataset.label_names is None:
-        return dataset.targets
-    position = {name: i for i, name in enumerate(model.class_names)}
-    unknown = [n for n in dataset.label_names if n not in position]
-    if unknown:
-        raise ValueError(f"labels {unknown} are not known to the model")
-    lookup = np.array([position[name] for name in dataset.label_names])
-    return lookup[dataset.targets]
-
-
-def _cmd_eval(args) -> int:
-    model = load_model(args.model)
-    dataset = _load_eval_dataset(args, model)
-    targets = _remap_labels(dataset, model)
-    outputs = [p.output for p in predict_batch(model, dataset.inputs)]
-    if model.mode == CLASSIFICATION:
-        doc = {
-            "accuracy": accuracy(outputs, targets),
-            "confusion": confusion_matrix(
-                outputs, targets, n_classes=len(model.class_names)
-                if model.class_names else None
-            ).tolist(),
-        }
-    else:
-        doc = {"rmse": rmse(outputs, dataset.targets),
-               "mae": mae(outputs, dataset.targets)}
-        if float(np.std(dataset.targets)) > 0:
-            doc["nrmse"] = nrmse(outputs, dataset.targets)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    metrics, confusion, _ = bench._evaluate_model(model, dataset)
+    if confusion is not None:
+        metrics["confusion"] = confusion
+    print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
-    rows = read_csv_matrix(args.data, header=args.header)
-    width = len(rows[0])
-    drop = None
-    if args.target_column is not None:
-        drop = args.target_column if args.target_column >= 0 \
-            else width + args.target_column
-    feature_cols = [c for c in range(width) if c != drop]
-    raw = np.array(
-        [[float(row[c]) for c in feature_cols] for row in rows], dtype=np.float64
+    model = _load_serving_model(args.model)
+    cells, inputs = load_features(
+        args.data,
+        drop_column=args.target_column,
+        header=args.header,
+        normalization=model.normalization,
     )
-    lo = raw.min(axis=0)
-    span = raw.max(axis=0) - lo
-    span[span == 0] = 1.0
-    normalized = (raw - lo) / span
-    predictions = predict_batch(model, normalized)
+    outputs = predict(model, inputs)[1].tolist()
+    if model.mode == CLASSIFICATION and model.class_names is not None:
+        outputs = [model.class_names[c] for c in outputs]
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        for row, pred in zip(rows, predictions):
-            out = pred.output
-            if model.mode == CLASSIFICATION and model.class_names is not None:
-                out = model.class_names[int(out)]
-            writer.writerow([row[c] for c in feature_cols] + [out])
+        for row, out in zip(cells, outputs):
+            writer.writerow(row + [out])
     if not args.quiet:
-        print(f"wrote {len(predictions)} predictions to {args.output}")
+        print(f"wrote {len(outputs)} predictions to {args.output}")
     return 0
 
 

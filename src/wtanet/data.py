@@ -143,20 +143,34 @@ class SplitSpec:
         )
 
 
-def _normalize_features(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Min-max normalize columns; constant columns map to 0.0."""
-    lo = raw.min(axis=0)
-    hi = raw.max(axis=0)
-    span = hi - lo
-    constant = [int(i) for i in np.nonzero(span == 0)[0]]
-    safe_span = np.where(span == 0, 1.0, span)
-    normalized = (raw - lo) / safe_span
-    if constant:
-        normalized[:, constant] = 0.0
-    return normalized, np.column_stack([lo, hi]), constant
+def _feature_ranges(raw: np.ndarray) -> np.ndarray:
+    """Per-feature (min, max) pairs of a raw (N, n) feature matrix."""
+    return np.column_stack([raw.min(axis=0), raw.max(axis=0)])
 
 
-def _constant_note(constant: list[int]) -> str:
+def normalize(raw: np.ndarray, normalization) -> np.ndarray:
+    """Min-max map raw (N, n) features by (n, 2) (min, max) pairs.
+
+    This is the one normalization of the package: training ingest and
+    serving both apply it.  Constant features (min == max) map to 0.0.
+    """
+    normalization = np.asarray(normalization, dtype=np.float64)
+    if normalization.shape != (raw.shape[1], 2):
+        raise ValueError(
+            f"data has {raw.shape[1]} features, the normalization covers "
+            f"{normalization.shape[0]}"
+        )
+    lo = normalization[:, 0]
+    span = normalization[:, 1] - lo
+    constant = span == 0
+    out = (raw - lo) / np.where(constant, 1.0, span)
+    out[:, constant] = 0.0
+    return out
+
+
+def _constant_note(normalization: np.ndarray) -> str:
+    lo, hi = normalization[:, 0], normalization[:, 1]
+    constant = [int(i) for i in np.nonzero(lo == hi)[0]]
     if not constant:
         return ""
     return f"|warning:constant-features{constant}-normalized-to-0.0"
@@ -188,11 +202,32 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
         ) from None
 
 
+def _column_index(width: int, column: int, name: str) -> int:
+    index = column if column >= 0 else width + column
+    if not 0 <= index < width:
+        raise ValueError(f"{name} {column} out of range for {width} columns")
+    return index
+
+
+def _parse_features(rows: list[list[str]], drop: int | None) -> tuple[list[int], np.ndarray]:
+    """Indices of the feature columns (all but ``drop``) and their raw values."""
+    feature_cols = [c for c in range(len(rows[0])) if c != drop]
+    if not feature_cols:
+        raise ValueError("no feature columns left after removing the target")
+    raw = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
+    for r, row in enumerate(rows):
+        for j, c in enumerate(feature_cols):
+            raw[r, j] = _parse_cell(row[c], r, c)
+    return feature_cols, raw
+
+
 def load_csv(path, *, target_column: int = -1, mode: str,
-             header: bool = False) -> Dataset:
+             header: bool = False, normalization=None) -> Dataset:
     """Load a UCI-style CSV file into a normalized Dataset.
 
-    Numeric features are parsed as 64-bit floats and min-max normalized.
+    Numeric features are parsed as 64-bit floats and min-max normalized,
+    by the file's own per-feature range unless ``normalization`` gives
+    the (min, max) pairs to apply (a trained model's, when serving).
     Classification targets are mapped to dense labels 0..C-1 in
     first-appearance order; the original labels are kept in
     ``label_names``.  Row/column numbers in diagnostics are 1-based over
@@ -203,23 +238,12 @@ def load_csv(path, *, target_column: int = -1, mode: str,
         target_column: index of the target column (negative wraps).
         mode: "regression" or "classification".
         header: whether a single header row precedes the data.
+        normalization: optional (n, 2) per-feature (min, max) pairs.
     """
     _check_mode(mode)
     rows = read_csv_matrix(path, header=header)
-    width = len(rows[0])
-    target = target_column if target_column >= 0 else width + target_column
-    if not 0 <= target < width:
-        raise ValueError(
-            f"target_column {target_column} out of range for {width} columns"
-        )
-    feature_cols = [c for c in range(width) if c != target]
-    if not feature_cols:
-        raise ValueError("no feature columns left after removing the target")
-
-    raw = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
-    for r, row in enumerate(rows):
-        for j, c in enumerate(feature_cols):
-            raw[r, j] = _parse_cell(row[c], r, c)
+    target = _column_index(len(rows[0]), target_column, "target_column")
+    _, raw = _parse_features(rows, target)
 
     if mode == CLASSIFICATION:
         label_names: list[str] = []
@@ -238,15 +262,32 @@ def load_csv(path, *, target_column: int = -1, mode: str,
         )
         names = None
 
-    normalized, norm, constant = _normalize_features(raw)
+    norm = _feature_ranges(raw) if normalization is None \
+        else np.asarray(normalization, dtype=np.float64)
     return Dataset(
-        inputs=normalized,
+        inputs=normalize(raw, norm),
         targets=targets,
         mode=mode,
         normalization=norm,
-        provenance=f"csv:{path}{_constant_note(constant)}",
+        provenance=f"csv:{path}{_constant_note(norm)}",
         label_names=names,
     )
+
+
+def load_features(path, *, drop_column: int | None = None, header: bool = False,
+                  normalization=None) -> tuple[list[list[str]], np.ndarray]:
+    """Read the feature columns of a CSV file for prediction.
+
+    Every column except ``drop_column`` (none when None) is a feature.
+    Returns each row's feature cells as read and the features normalized
+    like :func:`load_csv` does.
+    """
+    rows = read_csv_matrix(path, header=header)
+    drop = None if drop_column is None \
+        else _column_index(len(rows[0]), drop_column, "target_column")
+    feature_cols, raw = _parse_features(rows, drop)
+    norm = _feature_ranges(raw) if normalization is None else normalization
+    return [[row[c] for c in feature_cols] for row in rows], normalize(raw, norm)
 
 
 def _round_half_up(x: float) -> int:
@@ -332,15 +373,15 @@ def window_series(series, window: int, horizon: int = 1,
         raw[i] = series[i:i + window]
     targets = series[window + horizon - 1:window + horizon - 1 + count].copy()
 
-    normalized, norm, constant = _normalize_features(raw)
+    norm = _feature_ranges(raw)
     return Dataset(
-        inputs=normalized,
+        inputs=normalize(raw, norm),
         targets=targets,
         mode=REGRESSION,
         normalization=norm,
         provenance=(
             f"window(w={window},h={horizon})"
-            f"|{provenance}{_constant_note(constant)}"
+            f"|{provenance}{_constant_note(norm)}"
         ),
     )
 
@@ -474,8 +515,5 @@ def series_to_csv(series, path, *, header: bool = False) -> None:
 def load_series_csv(path, *, column: int = 0, header: bool = False) -> np.ndarray:
     """Read one numeric column of a CSV file as a scalar series."""
     rows = read_csv_matrix(path, header=header)
-    width = len(rows[0])
-    col = column if column >= 0 else width + column
-    if not 0 <= col < width:
-        raise ValueError(f"column {column} out of range for {width} columns")
+    col = _column_index(len(rows[0]), column, "column")
     return np.array([_parse_cell(row[col], r, col) for r, row in enumerate(rows)])

@@ -12,13 +12,12 @@ member-major order: for each offspring slot, the two tournaments, the
 crossover coin, the BLX uniforms (only when crossover fires), the
 per-gene mutation coins, and finally one standard normal per mutated
 gene in ascending gene order.  Fitness evaluation consumes no
-randomness, so running it in parallel cannot perturb the stream.
+randomness.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -190,7 +189,8 @@ class FitnessEvaluator:
     The expanded design matrix is precomputed once; each call scores a
     chromosome with two matrix products and a row-wise argmax.  Returns
     -MSE for regression, -(error rate) for classification; a non-finite
-    prediction yields the worst-fitness sentinel instead of raising.
+    output (classification: any non-finite excitation) yields the
+    worst-fitness sentinel instead of raising.
     """
 
     def __init__(self, dataset: Dataset, shape: ModelShape):
@@ -217,23 +217,6 @@ class FitnessEvaluator:
             self._unit_classes = classes
         self._rows = np.arange(dataset.n_samples)
 
-    def responses(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Winner indices and raw winner responses for every sample."""
-        m = self.shape.pattern_dim
-        half = self.shape.n_units * m
-        v = genes[:half].reshape(self.shape.n_units, m)
-        w = genes[half:].reshape(self.shape.n_units, m)
-        # overflow to inf is tolerated here; callers map it to the
-        # worst-fitness sentinel instead of raising
-        with np.errstate(over="ignore", invalid="ignore"):
-            excitation = self.design @ v.T
-            winners = np.argmax(excitation, axis=1)
-            inhibition = self.design @ w.T
-            responses = (
-                excitation[self._rows, winners] - inhibition[self._rows, winners]
-            )
-        return winners, responses
-
     def __call__(self, genes) -> float:
         genes = np.asarray(genes, dtype=np.float64)
         if genes.size != self.shape.n_genes:
@@ -241,30 +224,33 @@ class FitnessEvaluator:
                 f"chromosome length mismatch: expected {self.shape.n_genes}, "
                 f"got {genes.size}"
             )
-        winners, responses = self.responses(genes)
-        if self.shape.mode == CLASSIFICATION:
-            predicted = self._unit_classes[winners]
-            return -float(np.mean(predicted != self.targets))
-        outputs = apply_activation(self.shape.output_activation, responses)
+        m = self.shape.pattern_dim
+        half = self.shape.n_units * m
+        v = genes[:half].reshape(self.shape.n_units, m)
+        w = genes[half:].reshape(self.shape.n_units, m)
+        # overflow to inf is tolerated here and mapped to the worst-fitness
+        # sentinel instead of raising
+        with np.errstate(over="ignore", invalid="ignore"):
+            excitation = self.design @ v.T
+            winners = np.argmax(excitation, axis=1)
+            if self.shape.mode == CLASSIFICATION:
+                if not np.isfinite(excitation).all():
+                    return WORST_FITNESS
+                predicted = self._unit_classes[winners]
+                return -float(np.mean(predicted != self.targets))
+            inhibition = self.design @ w.T
+            responses = (
+                excitation[self._rows, winners] - inhibition[self._rows, winners]
+            )
+            outputs = apply_activation(self.shape.output_activation, responses)
         if not np.all(np.isfinite(outputs)):
             return WORST_FITNESS
         err = outputs - self.targets
         return -float(np.mean(err * err))
 
 
-def fitness(genes, dataset: Dataset, shape: ModelShape) -> float:
-    """One-off fitness of a chromosome (builds a throwaway evaluator)."""
-    return FitnessEvaluator(dataset, shape)(np.asarray(genes, dtype=np.float64))
-
-
-def _evaluate_population(population, evaluator, n_jobs: int) -> np.ndarray:
-    # gathered in population order, so scheduling cannot change outcomes
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(evaluator, population))
-    else:
-        fits = [evaluator(genes) for genes in population]
-    return np.asarray(fits, dtype=np.float64)
+def _evaluate_population(population, evaluator) -> np.ndarray:
+    return np.array([evaluator(genes) for genes in population], dtype=np.float64)
 
 
 def _ranked_indices(fits: np.ndarray) -> np.ndarray:
@@ -314,8 +300,8 @@ def _next_population(population: np.ndarray, fits: np.ndarray,
 
 
 def evolve_generation(population, evaluator, config: GaConfig,
-                      rng: np.random.Generator, *, sigma: float | None = None,
-                      n_jobs: int = 1) -> np.ndarray:
+                      rng: np.random.Generator, *,
+                      sigma: float | None = None) -> np.ndarray:
     """Produce the next generation from the current one.
 
     ``evaluator`` is any callable mapping a chromosome to a fitness
@@ -330,7 +316,7 @@ def evolve_generation(population, evaluator, config: GaConfig,
         )
     if sigma is None:
         sigma = config.mutation_sigma_initial
-    fits = _evaluate_population(population, evaluator, n_jobs)
+    fits = _evaluate_population(population, evaluator)
     return _next_population(population, fits, config, rng, sigma)
 
 
@@ -355,7 +341,7 @@ class TrainTrace:
 
 
 def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
-          *, n_jobs: int = 1, snapshot_every: int = 0) -> TrainTrace:
+          *, snapshot_every: int = 0) -> TrainTrace:
     """Evolve a population of chromosomes against the training data.
 
     Runs for ``config.generations`` generations or until the best-ever
@@ -369,9 +355,6 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
         shape: model shape to optimize.
         dataset: training portion (splitting happens upstream).
         config: GA hyperparameters including the seed.
-        n_jobs: fitness evaluations per generation may run on up to this
-            many threads; results are gathered in population order so
-            the outcome is identical to the sequential run.
         snapshot_every: record the best chromosome every this many
             generations (0 disables snapshots).
 
@@ -384,7 +367,7 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
     lo, hi = config.init_weight_range
     population = rng.uniform(lo, hi, size=(config.population_size, shape.n_genes))
 
-    fits = _evaluate_population(population, evaluator, n_jobs)
+    fits = _evaluate_population(population, evaluator)
     best_idx = int(np.argmax(fits))
     best_value = float(fits[best_idx])
     best_genes = population[best_idx].copy()
@@ -401,7 +384,7 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
     for gen in range(config.generations):
         population = _next_population(population, fits, config, rng, sigma)
         sigma *= config.sigma_decay
-        fits = _evaluate_population(population, evaluator, n_jobs)
+        fits = _evaluate_population(population, evaluator)
         generations_run = gen + 1
 
         gen_best = int(np.argmax(fits))

@@ -1,5 +1,10 @@
 import json
+import math
 
+import numpy as np
+import pytest
+
+from wtanet import ExpansionSpec, WtaModel, load_model, mae, predict, rmse, save_model
 from wtanet.cli import main
 
 
@@ -65,6 +70,24 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "train", str(path))
         assert code == 1
         assert err.startswith("error:config:")
+
+    @pytest.mark.parametrize("section, key", [
+        ("", "sede"),
+        ("model", "activaton"),
+        ("expansion", "ordr"),
+        ("split", "train_frac"),
+        ("dataset", "n_sample"),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        (doc[section] if section else doc)[key] = 1
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "train", str(path))
+        name = f"{section}.{key}" if section else key
+        assert code == 1
+        assert err == f"error:config: unknown key {name}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynthEvalPredict:
@@ -219,3 +242,107 @@ class TestClassificationCli:
         first = pred_csv.read_text().splitlines()[0].split(",")
         assert len(first) == 5  # 4 features + predicted label
         assert first[-1].endswith("-like")
+
+
+def read_cells(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def f1_model(tmp_path_factory):
+    """The c01 shape (f1, 100 samples, K=3, M=4, GA defaults) at seed 0."""
+    tmp_path = tmp_path_factory.mktemp("f1_model")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"generator": "f1", "n_samples": 100},
+        "expansion": {"order": 3},
+        "model": {"units": 4, "mode": "regression"},
+        "split": {"train_fraction": 0.7},
+        "seed": 0,
+        "output": {"dir": str(tmp_path / "out")},
+    }))
+    assert main(["--quiet", "train", str(config)]) == 0
+    return tmp_path / "out" / "model.json"
+
+
+class TestServingNormalization:
+    def test_one_row_predict_uses_training_ranges(self, tmp_path, capsys, f1_model):
+        one = tmp_path / "one.csv"
+        one.write_text("0.83\n")
+        many = tmp_path / "many.csv"
+        many.write_text("0.1\n0.83\n0.5\n0.97\n")
+        for name in ("one", "many"):
+            code, _, err = run_cli(
+                capsys, "predict", str(f1_model), str(tmp_path / f"{name}.csv"),
+                "-o", str(tmp_path / f"{name}-out.csv"),
+            )
+            assert code == 0 and err == ""
+        single = read_cells(tmp_path / "one-out.csv")[0]
+        within = read_cells(tmp_path / "many-out.csv")[1]
+        assert single == within
+        expected = predict(load_model(f1_model), [[0.83]])[1][0]
+        assert float(single[-1]) == expected
+        # the model's value near sin(2*pi*0.83), not the forward at x=0
+        assert abs(expected - math.sin(2 * math.pi * 0.83)) < 0.1
+
+    def test_eval_of_subset_matches_rows_in_full_file(self, tmp_path, capsys, f1_model):
+        full = tmp_path / "full.csv"
+        run_cli(capsys, "--seed", "5", "synth", "f1", str(full), "--n", "40")
+        rows = read_cells(full)
+        subset = tmp_path / "subset.csv"
+        subset.write_text("".join(",".join(r) + "\n" for r in rows[10:20]))
+
+        code, out, _ = run_cli(capsys, "eval", str(f1_model), str(subset))
+        assert code == 0
+        scores = json.loads(out)
+
+        predicted = tmp_path / "pred.csv"
+        run_cli(capsys, "predict", str(f1_model), str(full),
+                "--target-column", "-1", "-o", str(predicted))
+        outputs = [float(r[-1]) for r in read_cells(predicted)[10:20]]
+        targets = [float(r[-1]) for r in rows[10:20]]
+        assert scores["rmse"] == rmse(outputs, targets)
+        assert scores["mae"] == mae(outputs, targets)
+
+    def test_version_one_model_warns_once(self, tmp_path, capsys, f1_model):
+        doc = json.loads(f1_model.read_text())
+        doc["format_version"] = 1
+        del doc["normalization"]
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        data = tmp_path / "data.csv"
+        data.write_text("0.2\n0.6\n")
+        code, _, err = run_cli(capsys, "predict", str(old), str(data),
+                               "-o", str(tmp_path / "out.csv"))
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning:")
+
+
+class TestNonFiniteOutputs:
+    @pytest.fixture
+    def overflowing_model(self, tmp_path):
+        path = tmp_path / "huge.json"
+        save_model(WtaModel(
+            ExpansionSpec(input_dim=1, order=0), [[1e308, 0.0]], [[-1e308, 0.0]],
+            normalization=[[0.0, 1.0]],
+        ), path)
+        return path
+
+    def test_eval_reports_data_error(self, tmp_path, capsys, overflowing_model):
+        data = tmp_path / "data.csv"
+        data.write_text("0.0,1.0\n1.0,2.0\n")
+        code, out, err = run_cli(capsys, "eval", str(overflowing_model), str(data))
+        assert code == 1 and out == ""
+        assert err == "error:data: non-finite output at row 1\n"
+
+    def test_predict_reports_data_error_and_writes_nothing(
+            self, tmp_path, capsys, overflowing_model):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0\n")
+        output = tmp_path / "pred.csv"
+        code, _, err = run_cli(capsys, "predict", str(overflowing_model),
+                               str(data), "-o", str(output))
+        assert code == 1
+        assert err == "error:data: non-finite output at row 0\n"
+        assert not output.exists()

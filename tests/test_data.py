@@ -9,7 +9,9 @@ from wtanet import (
     gen_mackey_glass,
     gen_noisy,
     load_csv,
+    load_features,
     load_series_csv,
+    normalize,
     series_to_csv,
     split_dataset,
     window_series,
@@ -23,6 +25,29 @@ class TestLoadCsv:
         ds = load_csv(path, target_column=-1, mode="regression")
         np.testing.assert_array_equal(ds.inputs[:, 0], [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(ds.targets, [1, 2, 3])
+
+    def test_given_normalization_replaces_own_range(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("4,7,1\n")
+        ds = load_csv(path, target_column=-1, mode="regression",
+                      normalization=[[2.0, 6.0], [7.0, 7.0]])
+        # a constant training feature maps to 0.0 whatever the value
+        np.testing.assert_array_equal(ds.inputs, [[0.5, 0.0]])
+        np.testing.assert_array_equal(ds.normalization, [[2.0, 6.0], [7.0, 7.0]])
+
+    def test_normalization_width_checked(self):
+        with pytest.raises(ValueError, match="2 features"):
+            normalize(np.zeros((3, 2)), [[0.0, 1.0]])
+
+    def test_load_features_keeps_cells_and_drops_target(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("1.50,x,3\n2.50,y,5\n")
+        with pytest.raises(ValueError, match="row 1, column 2"):
+            load_features(path)
+        cells, inputs = load_features(path, drop_column=1,
+                                      normalization=[[1.0, 3.0], [3.0, 7.0]])
+        assert cells == [["1.50", "3"], ["2.50", "5"]]
+        np.testing.assert_array_equal(inputs, [[0.25, 0.0], [0.75, 0.5]])
 
     def test_labels_dense_in_first_appearance_order(self, tmp_path):
         path = tmp_path / "labels.csv"

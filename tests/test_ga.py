@@ -11,7 +11,6 @@ from wtanet import (
     encode,
     evolve_generation,
     expand,
-    fitness,
     gen_function,
     gen_noisy,
     train,
@@ -59,7 +58,7 @@ class TestFitness:
     def test_all_zero_chromosome_scores_negative_mean_square(self):
         ds = tiny_dataset()
         shape = tiny_shape()
-        value = fitness(np.zeros(shape.n_genes), ds, shape)
+        value = FitnessEvaluator(ds, shape)(np.zeros(shape.n_genes))
         assert value == -float(np.mean(ds.targets ** 2))
 
     def test_perfect_predictor_scores_zero(self):
@@ -73,7 +72,7 @@ class TestFitness:
             inputs=x, targets=2.0 * x[:, 0], mode="regression",
             normalization=np.array([[0.0, 1.0]]), provenance="test",
         )
-        assert fitness(np.array([2.0, 0.0]), ds, shape) == 0.0
+        assert FitnessEvaluator(ds, shape)(np.array([2.0, 0.0])) == 0.0
 
     def test_matches_hand_looped_mse(self):
         rng = np.random.default_rng(2)
@@ -88,7 +87,7 @@ class TestFitness:
             winner = excitations.index(max(excitations))
             out = excitations[winner] - float(np.dot(model.inhibitory[winner], p))
             total += (out - float(ds.targets[i])) ** 2
-        assert fitness(genes, ds, shape) == pytest.approx(-total / 20, rel=1e-12)
+        assert FitnessEvaluator(ds, shape)(genes) == pytest.approx(-total / 20, rel=1e-12)
 
     def test_classification_error_rate(self):
         rng = np.random.default_rng(3)
@@ -117,7 +116,20 @@ class TestFitness:
         ds = tiny_dataset()
         shape = tiny_shape(order=0)
         genes = np.full(shape.n_genes, 1e308)  # finite genes, overflowing dot
-        assert fitness(genes, ds, shape) == -np.inf
+        assert FitnessEvaluator(ds, shape)(genes) == -np.inf
+
+    def test_non_finite_excitation_gets_worst_sentinel_in_classification(self):
+        from wtanet import Dataset
+        ds = Dataset(
+            inputs=[[0.2], [0.9]], targets=[0, 1], mode="classification",
+            normalization=[[0.0, 1.0]], provenance="test",
+        )
+        shape = ModelShape.for_classification(
+            ExpansionSpec(input_dim=1, order=0), n_classes=2
+        )
+        # every excitation overflows; the error rate would read 0.5
+        genes = np.full(shape.n_genes, 1.5e308)
+        assert FitnessEvaluator(ds, shape)(genes) == -np.inf
 
 
 class TestEvolveGeneration:
@@ -199,16 +211,6 @@ class TestTrain:
         assert a.best_genes.tobytes() == b.best_genes.tobytes()
         assert a.best_fitness == b.best_fitness
         assert a.model.excitatory.tobytes() == b.model.excitatory.tobytes()
-
-    def test_parallel_fitness_equals_sequential(self):
-        ds = tiny_dataset(seed=10, n=40)
-        shape = tiny_shape(order=2, n_units=3)
-        config = GaConfig(population_size=14, generations=12, seed=3)
-        seq = train(shape, ds, config, n_jobs=1)
-        par = train(shape, ds, config, n_jobs=4)
-        assert seq.best_genes.tobytes() == par.best_genes.tobytes()
-        assert seq.best_fitness == par.best_fitness
-        assert seq.mean_fitness == par.mean_fitness
 
     def test_elitism_makes_best_fitness_non_decreasing(self):
         ds = tiny_dataset(seed=11, n=25)

@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 from wtanet import (
-    EmotionalUnit,
     ExpansionSpec,
     WtaModel,
     expand,
-    forward,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_batch,
+    predict,
     save_model,
 )
 
 
 def raw_passthrough_spec(n):
     return ExpansionSpec(input_dim=n, order=0, include_bias=False)
+
+
+def predict_one(model, s):
+    """Winner, excitations and output of one raw row."""
+    winners, outputs = predict(model, [s])
+    return int(winners[0]), model.excitatory @ expand(model.spec, s), outputs[0]
 
 
 def random_model(rng, n=2, order=2, n_units=3, **kwargs):
@@ -36,25 +40,25 @@ class TestForward:
     def test_hand_worked_example(self):
         spec = raw_passthrough_spec(2)
         model = WtaModel(spec, [[1, 0], [0, 1]], np.zeros((2, 2)))
-        pred = forward(model, [0.2, 0.9])
-        np.testing.assert_array_equal(pred.excitation, [0.2, 0.9])
-        assert pred.winner == 1
-        assert pred.output == 0.9
+        winner, excitation, output = predict_one(model, [0.2, 0.9])
+        np.testing.assert_array_equal(excitation, [0.2, 0.9])
+        assert winner == 1
+        assert output == 0.9
 
     def test_tie_breaks_to_smallest_index(self):
         spec = raw_passthrough_spec(2)
         model = WtaModel(spec, [[1, 1], [1, 1]], np.zeros((2, 2)))
-        assert forward(model, [0.3, 0.4]).winner == 0
+        assert predict(model, [[0.3, 0.4]])[0][0] == 0
 
     def test_inhibition_subtracts_from_winner(self):
         spec = raw_passthrough_spec(1)
         model = WtaModel(spec, [[2.0]], [[0.5]])
-        assert forward(model, [1.0]).output == 1.5
+        assert predict(model, [[1.0]])[1][0] == 1.5
 
     def test_logistic_activation(self):
         spec = raw_passthrough_spec(1)
         model = WtaModel(spec, [[0.0]], [[0.0]], output_activation="logistic")
-        assert forward(model, [5.0]).output == 0.5
+        assert predict(model, [[5.0]])[1][0] == 0.5
 
     def test_classification_outputs_winner_class(self):
         spec = raw_passthrough_spec(2)
@@ -62,23 +66,35 @@ class TestForward:
             spec, [[1, 0], [0, 1]], np.zeros((2, 2)),
             mode="classification", class_of_unit=[4, 9],
         )
-        assert forward(model, [0.1, 0.8]).output == 9
-        assert forward(model, [0.8, 0.1]).output == 4
+        assert predict(model, [[0.1, 0.8], [0.8, 0.1]])[1].tolist() == [9, 4]
 
     def test_dimension_mismatch_names_dims(self):
         rng = np.random.default_rng(0)
         model = random_model(rng, n=3)
-        with pytest.raises(ValueError, match="expected 3"):
-            forward(model, [0.1, 0.2])
+        with pytest.raises(ValueError, match=r"\(\*, 3\)"):
+            predict(model, [[0.1, 0.2]])
 
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(1)
         model = random_model(rng)
-        s = rng.uniform(0, 1, size=2)
-        a = forward(model, s)
-        b = forward(model, s)
-        assert a.output == b.output
-        assert a.excitation.tobytes() == b.excitation.tobytes()
+        inputs = rng.uniform(0, 1, size=(10, 2))
+        a = predict(model, inputs)
+        b = predict(model, inputs)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
+
+    def test_non_finite_output_names_first_row(self):
+        spec = raw_passthrough_spec(1)
+        model = WtaModel(spec, [[1e308]], [[-1e308]])
+        with pytest.raises(ValueError, match="non-finite output at row 1"):
+            predict(model, [[0.0], [1.0], [1.0]])
+
+    def test_non_finite_excitation_rejected_in_classification(self):
+        spec = raw_passthrough_spec(1)
+        model = WtaModel(spec, [[1e308], [-1e308]], np.zeros((2, 1)),
+                         mode="classification", class_of_unit=[0, 1])
+        with pytest.raises(ValueError, match="non-finite output at row 0"):
+            predict(model, [[2.0]])
 
 
 class TestCompetitionInvariances:
@@ -86,13 +102,13 @@ class TestCompetitionInvariances:
         rng = np.random.default_rng(2)
         for _ in range(300):
             model = random_model(rng, n_units=int(rng.integers(1, 6)))
-            s = rng.uniform(0, 1, size=2)
-            base = forward(model, s).winner
+            s = rng.uniform(0, 1, size=(1, 2))
+            base = predict(model, s)[0].tolist()
             c = float(rng.uniform(0.01, 20))
             scaled = WtaModel(
                 model.spec, model.excitatory * c, model.inhibitory,
             )
-            assert forward(scaled, s).winner == base
+            assert predict(scaled, s)[0].tolist() == base
 
     def test_perturbing_losers_leaves_prediction_unchanged(self):
         rng = np.random.default_rng(3)
@@ -100,8 +116,7 @@ class TestCompetitionInvariances:
         while checked < 200:
             model = random_model(rng, n_units=4)
             s = rng.uniform(0, 1, size=2)
-            pred = random_forward = forward(model, s)
-            winner = pred.winner
+            winner, excitation, output = predict_one(model, s)
             loser = int(rng.integers(0, 4))
             if loser == winner:
                 continue
@@ -110,11 +125,11 @@ class TestCompetitionInvariances:
             w = model.inhibitory.copy()
             v[loser] += rng.uniform(-0.5, 0.5, size=v.shape[1])
             w[loser] = rng.uniform(-1, 1, size=w.shape[1])
-            if float(v[loser] @ p) >= float(pred.excitation[winner]):
+            if float(v[loser] @ p) >= float(excitation[winner]):
                 continue  # perturbation must keep the loser strictly below
-            perturbed = forward(WtaModel(model.spec, v, w), s)
-            assert perturbed.winner == winner
-            assert perturbed.output == pred.output
+            perturbed = predict_one(WtaModel(model.spec, v, w), s)
+            assert perturbed[0] == winner
+            assert perturbed[2] == output
             checked += 1
 
     def test_single_unit_reduces_to_affine_in_basis(self):
@@ -124,40 +139,45 @@ class TestCompetitionInvariances:
             v = rng.uniform(-1, 1, size=(1, 2))
             w = rng.uniform(-1, 1, size=(1, 2))
             model = WtaModel(spec, v, w)
-            s = rng.uniform(0, 1, size=1)
+            s = rng.uniform(0, 1, size=(1, 1))
             # K=0 expansion plus one linear unit is plain affine regression
-            expected = (v[0, 0] - w[0, 0]) * s[0] + (v[0, 1] - w[0, 1])
-            assert forward(model, s).output == pytest.approx(expected, abs=1e-12)
+            expected = (v[0, 0] - w[0, 0]) * s[0, 0] + (v[0, 1] - w[0, 1])
+            assert predict(model, s)[1][0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestPredictBatch:
     def test_empty_sequence(self):
         rng = np.random.default_rng(5)
-        assert predict_batch(random_model(rng), []) == []
+        winners, outputs = predict(random_model(rng), np.empty((0, 2)))
+        assert winners.shape == outputs.shape == (0,)
 
     def test_singleton_matches_forward(self):
         rng = np.random.default_rng(6)
         model = random_model(rng)
         s = rng.uniform(0, 1, size=2)
-        batch = predict_batch(model, [s])
-        single = forward(model, s)
-        assert batch[0].output == single.output
-        assert batch[0].winner == single.winner
+        winner, excitation, output = predict_one(model, s)
+        # the per-row definition: argmax of v.p, then (v - w).p of the winner
+        p = expand(model.spec, s)
+        assert winner == int(np.argmax(excitation))
+        assert output == excitation[winner] - model.inhibitory[winner] @ p
 
     def test_batch_equals_loop(self):
         rng = np.random.default_rng(7)
-        model = random_model(rng)
-        inputs = rng.uniform(0, 1, size=(100, 2))
-        batch = predict_batch(model, inputs)
-        for i in range(100):
-            assert batch[i].output == forward(model, inputs[i]).output
+        for activation in ("identity", "logistic"):
+            model = random_model(rng, output_activation=activation)
+            inputs = rng.uniform(0, 1, size=(100, 2))
+            winners, outputs = predict(model, inputs)
+            for i in range(100):
+                one = predict(model, inputs[i:i + 1])
+                assert one[0][0] == winners[i]
+                assert one[1][0] == outputs[i]
 
     def test_first_invalid_input_aborts_with_index(self):
         rng = np.random.default_rng(8)
         model = random_model(rng)
         inputs = [np.array([0.1, 0.2]), np.array([np.nan, 0.2])]
-        with pytest.raises(ValueError, match="input 1"):
-            predict_batch(model, inputs)
+        with pytest.raises(ValueError, match="row 1"):
+            predict(model, inputs)
 
 
 class TestModelValidation:
@@ -177,12 +197,19 @@ class TestModelValidation:
             WtaModel(spec, [[np.inf]], [[0.0]])
 
     def test_units_view(self):
+        # the model JSON lists unit j as row j of both weight matrices
         rng = np.random.default_rng(9)
         model = random_model(rng, n_units=2)
-        units = model.units
+        units = model_to_dict(model)["units"]
         assert len(units) == 2
-        assert isinstance(units[0], EmotionalUnit)
-        np.testing.assert_array_equal(units[1].v, model.excitatory[1])
+        assert units[1]["v"] == model.excitatory[1].tolist()
+        assert units[1]["w"] == model.inhibitory[1].tolist()
+
+    def test_normalization_shape_checked(self):
+        spec = raw_passthrough_spec(2)
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
+            WtaModel(spec, np.zeros((1, 2)), np.zeros((1, 2)),
+                     normalization=[[0.0, 1.0]])
 
 
 class TestSerialization:
@@ -192,11 +219,11 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        for _ in range(50):
-            s = rng.uniform(0, 1, size=2)
-            a = forward(model, s)
-            b = forward(loaded, s)
-            assert a.output == b.output and a.winner == b.winner
+        inputs = rng.uniform(0, 1, size=(50, 2))
+        a = predict(model, inputs)
+        b = predict(loaded, inputs)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_classification_round_trip_keeps_labels(self, tmp_path):
         spec = raw_passthrough_spec(2)
@@ -229,7 +256,15 @@ class TestSerialization:
 
     def test_dict_round_trip_is_exact(self):
         rng = np.random.default_rng(12)
-        model = random_model(rng)
+        model = random_model(rng, normalization=[[-0.3, 2.1], [1e-3, 7.0]])
         clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert clone.excitatory.tobytes() == model.excitatory.tobytes()
         assert clone.inhibitory.tobytes() == model.inhibitory.tobytes()
+        assert clone.normalization.tobytes() == model.normalization.tobytes()
+
+    def test_version_one_document_loads_without_normalization(self):
+        rng = np.random.default_rng(13)
+        doc = model_to_dict(random_model(rng, normalization=[[0, 2], [0, 3]]))
+        doc["format_version"] = 1
+        del doc["normalization"]
+        assert model_from_dict(doc).normalization is None
