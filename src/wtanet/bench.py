@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,7 +64,9 @@ _CONFIG_KEYS = {
                 "horizon", "tau", "beta", "gamma", "exponent", "dt", "initial"},
     "expansion": {"order", "include_bias"},
     "model": {"mode", "units", "units_per_class", "activation"},
-    "split": {"train_fraction", "stratified", "seed"},
+    # the run seed is the single funnel: no section takes a seed of its own
+    "split": {"train_fraction", "stratified"},
+    "ga": {f.name for f in fields(GaConfig)} - {"seed"},
 }
 
 
@@ -122,13 +124,11 @@ class RunConfig:
         if "order" not in expansion:
             raise ValueError("expansion section requires 'order'")
         expansion.setdefault("include_bias", True)
-        ga_doc = dict(doc.get("ga", {}))
-        ga_doc.pop("seed", None)  # the run seed is the single funnel
         return cls(
             dataset=dict(doc["dataset"]),
             expansion=expansion,
             model=model,
-            ga=GaConfig.from_dict(ga_doc),
+            ga=GaConfig.from_dict(dict(doc.get("ga", {}))),
             split=SplitSpec.from_dict(dict(doc.get("split", {}))),
             seed=int(doc.get("seed", 0)),
             task=str(doc.get("task", "")),

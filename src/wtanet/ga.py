@@ -13,6 +13,13 @@ crossover coin, the BLX uniforms (only when crossover fires), the
 per-gene mutation coins, and finally one standard normal per mutated
 gene in ascending gene order.  Fitness evaluation consumes no
 randomness.
+
+A generation only draws member by member; tournaments, crossover and
+mutation then run as whole-array operations.  Fitness is scored in
+population blocks, and a chromosome whose fitness is already known (an
+elite, or an unmutated child equal to a parent) is not scored again.
+Reruns are bit-identical; byte identity with older versions is not
+promised, because the block product may round differently.
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ from .expansion import ExpansionSpec, expand_batch, expansion_dim
 from .model import IDENTITY, LOGISTIC, WtaModel, apply_activation
 
 WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
+
+# FitnessEvaluator scores chromosomes in blocks of about this many doubles
+# per (block, M, N) excitation array: 52 chromosomes at N*M = 630, one at
+# N*M = 28,000, which keeps the peak memory of large datasets flat
+_BLOCK_DOUBLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -186,9 +198,13 @@ def decode(genes, shape: ModelShape) -> WtaModel:
 class FitnessEvaluator:
     """Pure fitness function over a fixed dataset and model shape.
 
-    The expanded design matrix is precomputed once; each call scores a
-    chromosome with two matrix products and a row-wise argmax.  Returns
-    -MSE for regression, -(error rate) for classification; a non-finite
+    The expanded design matrix is precomputed once, transposed to
+    (m, N).  A call scores chromosomes of shape ``(..., n_genes)`` and
+    returns fitness of shape ``(...)``; a single 1-D chromosome gets a
+    Python float.  Chromosomes are scored in blocks, with one matrix
+    product per block and weight set, and the winner is the unit with
+    the largest excitation, ties to the smallest index.  Returns -MSE
+    for regression, -(error rate) for classification; a non-finite
     output (classification: any non-finite excitation) yields the
     worst-fitness sentinel instead of raising.
     """
@@ -205,7 +221,10 @@ class FitnessEvaluator:
                 f"{shape.spec.input_dim}"
             )
         self.shape = shape
-        self.design = expand_batch(shape.spec, dataset.inputs)
+        # (m, N) and C-contiguous: the GEMM then reads it without a transpose
+        self._design_t = np.ascontiguousarray(
+            expand_batch(shape.spec, dataset.inputs).T
+        )
         self.targets = dataset.targets
         if shape.mode == CLASSIFICATION:
             classes = np.asarray(shape.class_of_unit, dtype=np.int64)
@@ -215,42 +234,70 @@ class FitnessEvaluator:
                     f"classes {sorted(missing)} in the data are carried by no unit"
                 )
             self._unit_classes = classes
-        self._rows = np.arange(dataset.n_samples)
+        n = dataset.n_samples
+        self._block = max(1, _BLOCK_DOUBLES // (shape.n_units * n))
+        # flat index of unit 0's activation per (chromosome, sample) in a
+        # (block, M, N) array; the winner's sits winner * N further on
+        chromosome_starts = np.arange(self._block)[:, np.newaxis] * shape.n_units * n
+        self._offsets = chromosome_starts + np.arange(n)
 
-    def __call__(self, genes) -> float:
+    def __call__(self, genes):
         genes = np.asarray(genes, dtype=np.float64)
-        if genes.size != self.shape.n_genes:
+        n_genes = self.shape.n_genes
+        if genes.shape[-1:] != (n_genes,):
             raise ValueError(
-                f"chromosome length mismatch: expected {self.shape.n_genes}, "
-                f"got {genes.size}"
+                f"chromosome length mismatch: expected {n_genes}, "
+                f"got shape {genes.shape}"
             )
-        m = self.shape.pattern_dim
-        half = self.shape.n_units * m
-        v = genes[:half].reshape(self.shape.n_units, m)
-        w = genes[half:].reshape(self.shape.n_units, m)
+        flat = genes.reshape(-1, n_genes)
+        fits = np.empty(flat.shape[0])
+        for start in range(0, flat.shape[0], self._block):
+            stop = start + self._block
+            fits[start:stop] = self._score_block(flat[start:stop])
+        if genes.ndim == 1:
+            return float(fits[0])
+        return fits.reshape(genes.shape[:-1])
+
+    def _score_block(self, genes: np.ndarray) -> np.ndarray:
+        n_units = self.shape.n_units
+        half = n_units * self.shape.pattern_dim
         # overflow to inf is tolerated here and mapped to the worst-fitness
         # sentinel instead of raising
         with np.errstate(over="ignore", invalid="ignore"):
-            excitation = self.design @ v.T
-            winners = np.argmax(excitation, axis=1)
+            excitation = self._activations(genes[:, :half])
+            top = excitation[:, 0]
+            winner = np.zeros(top.shape, dtype=np.intp)
+            for j in range(1, n_units):
+                # strict, so ties stay with the lower index; arithmetic in
+                # place of np.where, whose branches mispredict on mixed
+                # winners and made the cost depend on the population
+                winner = np.maximum(winner, (excitation[:, j] > top) * j)
+                # a NaN excitation propagates into top, as argmax would pick it
+                top = np.maximum(top, excitation[:, j])
             if self.shape.mode == CLASSIFICATION:
-                if not np.isfinite(excitation).all():
-                    return WORST_FITNESS
-                predicted = self._unit_classes[winners]
-                return -float(np.mean(predicted != self.targets))
-            inhibition = self.design @ w.T
-            responses = (
-                excitation[self._rows, winners] - inhibition[self._rows, winners]
-            )
-            outputs = apply_activation(self.shape.output_activation, responses)
-        if not np.all(np.isfinite(outputs)):
-            return WORST_FITNESS
-        err = outputs - self.targets
-        return -float(np.mean(err * err))
+                finite = np.isfinite(excitation).all(axis=(1, 2))
+                wrong = np.mean(self._unit_classes[winner] != self.targets, axis=1)
+                return np.where(finite, -wrong, WORST_FITNESS)
+            inhibition = self._activations(genes[:, half:]).reshape(-1)
+            n_samples = self._design_t.shape[1]
+            picked = inhibition[winner * n_samples + self._offsets[:len(genes)]]
+            outputs = apply_activation(self.shape.output_activation, top - picked)
+            err = outputs - self.targets
+            mse = np.mean(err * err, axis=1)
+        return np.where(np.isfinite(outputs).all(axis=1), -mse, WORST_FITNESS)
 
+    def _activations(self, weights: np.ndarray) -> np.ndarray:
+        """(block, M, N) activations of the units' weight rows over the design.
 
-def _evaluate_population(population, evaluator) -> np.ndarray:
-    return np.array([evaluator(genes) for genes in population], dtype=np.float64)
+        One GEMM of the stacked (block*M, m) rows.  Excitatory and
+        inhibitory rows go in separate products: classification needs
+        only the first, and with one product of both the Mackey-Glass
+        shape (m=21) no longer reproduced the trajectories of the
+        per-chromosome kernel bit for bit.
+        """
+        n_chromosomes = weights.shape[0]
+        rows = np.ascontiguousarray(weights).reshape(-1, self.shape.pattern_dim)
+        return (rows @ self._design_t).reshape(n_chromosomes, self.shape.n_units, -1)
 
 
 def _ranked_indices(fits: np.ndarray) -> np.ndarray:
@@ -258,45 +305,63 @@ def _ranked_indices(fits: np.ndarray) -> np.ndarray:
     return np.argsort(-fits, kind="stable")
 
 
-def _tournament(fits: np.ndarray, rng: np.random.Generator, size: int) -> int:
-    contestants = rng.integers(0, fits.size, size=size)
-    return int(contestants[np.argmax(fits[contestants])])
-
-
-def _make_offspring(population: np.ndarray, fits: np.ndarray,
-                    config: GaConfig, rng: np.random.Generator,
-                    sigma: float) -> np.ndarray:
-    n_genes = population.shape[1]
-    p1 = _tournament(fits, rng, config.tournament_size)
-    p2 = _tournament(fits, rng, config.tournament_size)
-    if rng.random() < config.crossover_rate:
-        g1, g2 = population[p1], population[p2]
-        lo = np.minimum(g1, g2)
-        hi = np.maximum(g1, g2)
-        span = hi - lo
-        u = rng.random(n_genes)
-        child = lo - config.blx_alpha * span + u * (1.0 + 2.0 * config.blx_alpha) * span
-    else:
-        better = p1 if fits[p1] >= fits[p2] else p2
-        child = population[better].copy()
-    rate = config.resolved_mutation_rate(n_genes)
-    mask = rng.random(n_genes) < rate
-    n_mut = int(mask.sum())
-    if n_mut:
-        child[mask] += sigma * rng.standard_normal(n_mut)
-    return child
-
-
 def _next_population(population: np.ndarray, fits: np.ndarray,
                      config: GaConfig, rng: np.random.Generator,
-                     sigma: float) -> np.ndarray:
-    order = _ranked_indices(fits)
-    next_pop = np.empty_like(population)
+                     sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The next generation and the fitness already known for each slot.
+
+    The loop only draws, member by member in the order of the stream
+    contract; selection, crossover and mutation then run on whole
+    arrays.  A slot's fitness is known when it holds an elite, or a
+    child with no mutated gene that equals a parent: a clone of the
+    better parent, or the blend of two equal parents.  Every other
+    slot reads NaN (a fitness is never NaN) and must be scored.
+    """
+    size, n_genes = population.shape
     elites = config.elitism_count
-    next_pop[:elites] = population[order[:elites]]
-    for slot in range(elites, config.population_size):
-        next_pop[slot] = _make_offspring(population, fits, config, rng, sigma)
-    return next_pop
+    n_children = config.population_size - elites
+    rate = config.resolved_mutation_rate(n_genes)
+    contestants, crossed, normals = [], [], []
+    blend = np.empty((n_children, n_genes))
+    coins = np.empty((n_children, n_genes))
+    for k in range(n_children):
+        # one call draws both tournaments: the same stream as two calls
+        contestants.append(
+            rng.integers(0, size, 2 * config.tournament_size, np.int64)
+        )
+        crossed.append(rng.random() < config.crossover_rate)
+        if crossed[k]:
+            rng.random(out=blend[k])
+        rng.random(out=coins[k])
+        n_mut = np.count_nonzero(coins[k] < rate)
+        if n_mut:
+            normals.append(rng.standard_normal(n_mut))
+
+    # each tournament goes to its first contestant of highest fitness
+    contestants = np.reshape(contestants, (n_children, 2, config.tournament_size))
+    picks = np.argmax(fits[contestants], axis=2)[..., np.newaxis]
+    p1, p2 = np.take_along_axis(contestants, picks, axis=2)[..., 0].T
+    crossed = np.array(crossed, dtype=bool)
+    better = np.where(fits[p1] >= fits[p2], p1, p2)
+    children = population[better]
+    g1, g2 = population[p1[crossed]], population[p2[crossed]]
+    lo = np.minimum(g1, g2)
+    span = np.maximum(g1, g2) - lo
+    children[crossed] = (
+        lo - config.blx_alpha * span
+        + blend[crossed] * (1.0 + 2.0 * config.blx_alpha) * span
+    )
+    mutated = coins < rate
+    if normals:
+        children[mutated] += sigma * np.concatenate(normals)
+
+    order = _ranked_indices(fits)
+    known = np.full(size, np.nan)
+    known[:elites] = fits[order[:elites]]
+    parent = np.where(crossed, p1, better)
+    same = ~mutated.any(axis=1) & (children == population[parent]).all(axis=1)
+    known[elites:][same] = fits[parent[same]]
+    return np.concatenate([population[order[:elites]], children]), known
 
 
 def evolve_generation(population, evaluator, config: GaConfig,
@@ -304,9 +369,10 @@ def evolve_generation(population, evaluator, config: GaConfig,
                       sigma: float | None = None) -> np.ndarray:
     """Produce the next generation from the current one.
 
-    ``evaluator`` is any callable mapping a chromosome to a fitness
-    (typically a :class:`FitnessEvaluator`).  ``sigma`` is the current
-    mutation scale; it defaults to the configured initial value.
+    ``evaluator`` is any callable mapping a ``(P, n_genes)`` population
+    to its ``P`` fitnesses (typically a :class:`FitnessEvaluator`).
+    ``sigma`` is the current mutation scale; it defaults to the
+    configured initial value.
     """
     population = np.asarray(population, dtype=np.float64)
     if population.ndim != 2 or population.shape[0] != config.population_size:
@@ -316,15 +382,16 @@ def evolve_generation(population, evaluator, config: GaConfig,
         )
     if sigma is None:
         sigma = config.mutation_sigma_initial
-    fits = _evaluate_population(population, evaluator)
-    return _next_population(population, fits, config, rng, sigma)
+    fits = np.asarray(evaluator(population), dtype=np.float64)
+    return _next_population(population, fits, config, rng, sigma)[0]
 
 
 @dataclass
 class TrainTrace:
     """Per-generation statistics plus the best model found.
 
-    ``best_fitness`` is non-decreasing (elites are carried unchanged).
+    ``best_fitness`` is non-decreasing: elites are carried unchanged,
+    with their fitness.
     """
 
     best_fitness: list[float]
@@ -367,7 +434,7 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
     lo, hi = config.init_weight_range
     population = rng.uniform(lo, hi, size=(config.population_size, shape.n_genes))
 
-    fits = _evaluate_population(population, evaluator)
+    fits = evaluator(population)
     best_idx = int(np.argmax(fits))
     best_value = float(fits[best_idx])
     best_genes = population[best_idx].copy()
@@ -382,9 +449,11 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
     sigma = config.mutation_sigma_initial
 
     for gen in range(config.generations):
-        population = _next_population(population, fits, config, rng, sigma)
+        population, fits = _next_population(population, fits, config, rng, sigma)
         sigma *= config.sigma_decay
-        fits = _evaluate_population(population, evaluator)
+        unknown = np.isnan(fits)
+        if unknown.any():
+            fits[unknown] = evaluator(population[unknown])
         generations_run = gen + 1
 
         gen_best = int(np.argmax(fits))

@@ -137,9 +137,10 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     """
     patterns = expand_batch(model.spec, inputs)[:, :, np.newaxis]
     # A stacked matmul runs one matrix-vector product per row, so a row's
-    # bits never depend on the rest of the batch.  FitnessEvaluator keeps
-    # its single GEMM instead: its bits fix every GA trajectory, and at
-    # N=7000, m=8, M=4 it is about 12x faster than this form.
+    # bits never depend on the rest of the batch.  FitnessEvaluator runs a
+    # GEMM per block of chromosomes instead: its bits fix every GA
+    # trajectory, and at N=7000, m=8, M=4 it is about 12x faster than this
+    # form.
     with np.errstate(over="ignore", invalid="ignore"):
         excitation = (model.excitatory @ patterns)[:, :, 0]
         winners = np.argmax(excitation, axis=1)

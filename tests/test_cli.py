@@ -77,6 +77,8 @@ class TestTrainCommand:
         ("expansion", "ordr"),
         ("split", "train_frac"),
         ("dataset", "n_sample"),
+        ("split", "seed"),  # the top-level seed is the only one
+        ("ga", "seed"),
     ])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, section, key):
         path = write_config(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wtanet import (
+    Dataset,
     ExpansionSpec,
     FitnessEvaluator,
     GaConfig,
@@ -11,10 +12,12 @@ from wtanet import (
     encode,
     evolve_generation,
     expand,
+    expand_batch,
     gen_function,
     gen_noisy,
     train,
 )
+from wtanet.model import apply_activation
 
 
 def tiny_dataset(seed=0, n=20):
@@ -23,6 +26,60 @@ def tiny_dataset(seed=0, n=20):
 
 def tiny_shape(order=1, n_units=2):
     return ModelShape(spec=ExpansionSpec(input_dim=1, order=order), n_units=n_units)
+
+
+def reference_fitness(dataset, shape, genes):
+    """Per-chromosome fitness: one product per weight matrix, argmax winner."""
+    design = expand_batch(shape.spec, dataset.inputs)
+    m, n_units = shape.pattern_dim, shape.n_units
+    v = genes[:n_units * m].reshape(n_units, m)
+    w = genes[n_units * m:].reshape(n_units, m)
+    rows = np.arange(dataset.n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        excitation = design @ v.T
+        winners = np.argmax(excitation, axis=1)
+        if shape.mode == "classification":
+            if not np.isfinite(excitation).all():
+                return -np.inf
+            predicted = np.asarray(shape.class_of_unit)[winners]
+            return -float(np.mean(predicted != dataset.targets))
+        inhibition = design @ w.T
+        outputs = apply_activation(
+            shape.output_activation,
+            excitation[rows, winners] - inhibition[rows, winners],
+        )
+    if not np.all(np.isfinite(outputs)):
+        return -np.inf
+    return -float(np.mean((outputs - dataset.targets) ** 2))
+
+
+def reference_next_population(population, fits, config, rng, sigma):
+    """Member-by-member offspring loop: the GA's random stream contract."""
+    def tournament():
+        contestants = rng.integers(0, fits.size, size=config.tournament_size)
+        return int(contestants[np.argmax(fits[contestants])])
+
+    n_genes = population.shape[1]
+    order = np.argsort(-fits, kind="stable")
+    next_pop = np.empty_like(population)
+    next_pop[:config.elitism_count] = population[order[:config.elitism_count]]
+    for slot in range(config.elitism_count, config.population_size):
+        p1, p2 = tournament(), tournament()
+        if rng.random() < config.crossover_rate:
+            g1, g2 = population[p1], population[p2]
+            lo, hi = np.minimum(g1, g2), np.maximum(g1, g2)
+            span = hi - lo
+            u = rng.random(n_genes)
+            child = (lo - config.blx_alpha * span
+                     + u * (1.0 + 2.0 * config.blx_alpha) * span)
+        else:
+            child = population[p1 if fits[p1] >= fits[p2] else p2].copy()
+        mask = rng.random(n_genes) < config.resolved_mutation_rate(n_genes)
+        n_mut = int(mask.sum())
+        if n_mut:
+            child[mask] += sigma * rng.standard_normal(n_mut)
+        next_pop[slot] = child
+    return next_pop
 
 
 class TestEncodeDecode:
@@ -131,6 +188,66 @@ class TestFitness:
         genes = np.full(shape.n_genes, 1.5e308)
         assert FitnessEvaluator(ds, shape)(genes) == -np.inf
 
+    def test_population_kernel_matches_per_chromosome_reference(self):
+        rng = np.random.default_rng(40)
+        cases = [  # (input_dim, order, units, n_samples, activation or classes)
+            (1, 3, 4, 70, "identity"),
+            (2, 2, 1, 50, "identity"),
+            (1, 1, 3, 1, "identity"),
+            (3, 3, 5, 300, "logistic"),  # 21 chromosomes per block
+            (5, 4, 2, 40, "identity"),   # m = 46
+            (4, 1, 6, 105, 3),           # 3 classes, 2 units each
+            (2, 0, 1, 1, 1),
+        ]
+        for input_dim, order, n_units, n, kind in cases:
+            spec = ExpansionSpec(input_dim=input_dim, order=order)
+            x = rng.uniform(0, 1, size=(n, input_dim))
+            norm = np.tile([0.0, 1.0], (input_dim, 1))
+            if isinstance(kind, int):
+                shape = ModelShape.for_classification(
+                    spec, kind, units_per_class=n_units // kind
+                )
+                ds = Dataset(inputs=x, targets=rng.integers(0, kind, size=n),
+                             mode="classification", normalization=norm,
+                             provenance="test")
+            else:
+                shape = ModelShape(spec=spec, n_units=n_units,
+                                   output_activation=kind)
+                ds = Dataset(inputs=x, targets=rng.normal(size=n),
+                             mode="regression", normalization=norm,
+                             provenance="test")
+            population = rng.uniform(-2, 2, size=(50, shape.n_genes))
+            # exact excitation ties in half the population: the lower unit wins
+            m = shape.pattern_dim
+            last = (shape.n_units - 1) * m
+            population[:25, last:last + m] = population[:25, :m]
+            got = FitnessEvaluator(ds, shape)(population)
+            want = [reference_fitness(ds, shape, genes) for genes in population]
+            assert got.shape == (50,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_fitness_shape_follows_the_genes(self):
+        ds = tiny_dataset()
+        shape = tiny_shape(order=1, n_units=3)
+        evaluator = FitnessEvaluator(ds, shape)
+        genes = np.random.default_rng(41).uniform(-1, 1, size=(2, 3, shape.n_genes))
+        fits = evaluator(genes)
+        assert fits.shape == (2, 3)
+        single = evaluator(genes[1, 2])
+        assert type(single) is float and single == fits[1, 2]
+        with pytest.raises(ValueError, match="length mismatch"):
+            evaluator(np.zeros((4, shape.n_genes + 1)))
+
+    def test_nan_excitation_of_a_later_unit_gets_worst_sentinel(self):
+        # argmax lets the NaN unit win, so every output is NaN; a plain
+        # strict-greater chain would skip the NaN and score unit 0 alone
+        ds = tiny_dataset()
+        shape = tiny_shape(order=1, n_units=2)
+        genes = np.random.default_rng(42).uniform(-1, 1, size=shape.n_genes)
+        genes[shape.pattern_dim] = np.nan  # unit 1, first excitatory weight
+        assert reference_fitness(ds, shape, genes) == -np.inf
+        assert FitnessEvaluator(ds, shape)(genes) == -np.inf
+
 
 class TestEvolveGeneration:
     def test_blx_child_genes_stay_in_extended_interval(self):
@@ -143,7 +260,7 @@ class TestEvolveGeneration:
         rng = np.random.default_rng(0)
         for _ in range(200):
             children = evolve_generation(
-                population, lambda genes: 0.0, config, rng
+                population, lambda pop: np.zeros(len(pop)), config, rng
             )
             assert np.all(children >= -0.5) and np.all(children <= 1.5)
 
@@ -156,7 +273,8 @@ class TestEvolveGeneration:
         )
         scores = {genes.tobytes(): float(i) for i, genes in enumerate(population)}
         children = evolve_generation(
-            population, lambda genes: scores[genes.tobytes()],
+            population,
+            lambda pop: np.array([scores[genes.tobytes()] for genes in pop]),
             config, np.random.default_rng(1),
         )
         existing = {genes.tobytes() for genes in population}
@@ -167,7 +285,7 @@ class TestEvolveGeneration:
         rng_pop = np.random.default_rng(5)
         population = rng_pop.uniform(-1, 1, size=(8, 6))
         config = GaConfig(population_size=8, elitism_count=2, seed=0)
-        evaluator = lambda genes: -float(np.sum(genes ** 2))
+        evaluator = lambda pop: -np.sum(pop ** 2, axis=1)
         a = evolve_generation(population, evaluator, config, np.random.default_rng(7))
         b = evolve_generation(population, evaluator, config, np.random.default_rng(7))
         assert a.tobytes() == b.tobytes()
@@ -175,8 +293,8 @@ class TestEvolveGeneration:
     def test_elites_survive_unchanged(self):
         rng_pop = np.random.default_rng(6)
         population = rng_pop.uniform(-1, 1, size=(10, 4))
-        evaluator = lambda genes: -float(np.sum(genes ** 2))
-        fits = np.array([evaluator(g) for g in population])
+        evaluator = lambda pop: -np.sum(pop ** 2, axis=1)
+        fits = evaluator(population)
         best_two = population[np.argsort(-fits, kind="stable")[:2]]
         config = GaConfig(population_size=10, elitism_count=2, seed=0)
         children = evolve_generation(
@@ -184,6 +302,26 @@ class TestEvolveGeneration:
         )
         assert children[0].tobytes() == best_two[0].tobytes()
         assert children[1].tobytes() == best_two[1].tobytes()
+
+    @pytest.mark.parametrize("crossover_rate", [0.0, 0.5, 1.0])
+    def test_matches_member_by_member_loop(self, crossover_rate):
+        rng_pop = np.random.default_rng(9)
+        population = rng_pop.uniform(-1, 1, size=(12, 7))
+        # rounded fitness makes tournament and better-parent ties common
+        evaluator = lambda pop: -np.round(np.sum(pop ** 2, axis=1), 1)
+        config = GaConfig(
+            population_size=12, elitism_count=2, tournament_size=3,
+            crossover_rate=crossover_rate, mutation_rate=0.3, seed=0,
+        )
+        for gen_seed in range(5):
+            a, b = np.random.default_rng(gen_seed), np.random.default_rng(gen_seed)
+            got = evolve_generation(population, evaluator, config, a, sigma=0.2)
+            want = reference_next_population(
+                population, evaluator(population), config, b, 0.2
+            )
+            assert got.tobytes() == want.tobytes()
+            assert a.random() == b.random()  # the stream stays in step
+            population = got
 
 
 class TestTrain:
@@ -249,6 +387,25 @@ class TestTrain:
         assert [gen for gen, _ in trace.snapshots] == [4, 9, 14, 19]
         # the last snapshot is the best-so-far chromosome at that point
         assert trace.snapshots[-1][1].tobytes() == trace.best_genes.tobytes()
+
+    def test_known_chromosomes_are_not_rescored(self, monkeypatch):
+        # elites, unmutated clones and blends of equal parents keep the
+        # fitness already known; everything else is scored exactly once
+        scored = []
+        score = FitnessEvaluator.__call__
+
+        def counting(self, genes):
+            scored.extend(g.tobytes() for g in np.atleast_2d(genes))
+            return score(self, genes)
+
+        monkeypatch.setattr(FitnessEvaluator, "__call__", counting)
+        ds = gen_noisy("f1", 0.1, 100, seed=0)
+        shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=3), n_units=4)
+        trace = train(shape, ds, GaConfig())
+        assert len(scored) == 11_117
+        assert len(set(scored)) == len(scored)
+        assert trace.best_fitness_value == -0.011155041395701315
+        assert np.all(np.diff(trace.best_fitness) >= 0)
 
     def test_empty_dataset_impossible_but_mode_mismatch_rejected(self):
         ds = tiny_dataset()
