@@ -27,7 +27,7 @@ oracle = least_squares_oracle(dataset, spec)
 print(f"least-squares oracle RMSE (noise floor): {oracle.rmse:.4f}")
 
 shape = ModelShape(spec=spec, n_units=1)
-trace = train(shape, dataset, GaConfig(seed=0))
+trace = train(shape, dataset, GaConfig(), seed=0)
 ga_rmse = float(np.sqrt(-trace.best_fitness_value))
 print(f"GA training RMSE after {trace.generations_run} generations: "
       f"{ga_rmse:.4f}  (ratio {ga_rmse / oracle.rmse:.3f})")

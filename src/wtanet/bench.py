@@ -12,13 +12,14 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
+from typing import Literal
 
 import numpy as np
 
-from . import data as datamod
 from .data import (
     CLASSIFICATION,
+    NOISE_CONSTANT,
     REGRESSION,
     Dataset,
     SplitSpec,
@@ -34,8 +35,7 @@ from .expansion import ExpansionSpec, expand_batch
 from .ga import GaConfig, ModelShape, TrainTrace, train, trace_to_csv
 from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
 from .model import IDENTITY, WtaModel, predict, save_model
-
-CONFIG_FORMAT_VERSION = 1
+from .schema import parse
 
 DATA_SEED_OFFSET = 1
 SPLIT_SEED_OFFSET = 2
@@ -43,132 +43,222 @@ GA_SEED_OFFSET = 3
 
 
 class PhaseError(RuntimeError):
-    """Error from a named experiment phase."""
+    """Error from a named experiment phase; ``message`` may be an exception."""
 
-    def __init__(self, phase: str, message: str):
+    def __init__(self, phase: str, message):
         super().__init__(f"[{phase}] {message}")
         self.phase = phase
-        self.message = message
+        self.message = str(message)
 
 
-def _phase_wrap(phase: str, exc: Exception) -> PhaseError:
-    return PhaseError(phase, str(exc))
+class DatasetSource:
+    """The dataset section: one source class per kind, picked by its keys.
+
+    Every source has ``load(mode, seed)``; ``mode`` is the model's mode
+    and ``seed`` drives the generators.
+    """
+
+    @staticmethod
+    def section_class(doc: dict, where: str) -> type:
+        if "generator" in doc:
+            if doc["generator"] == "mackey_glass":
+                return MackeyGlassSource
+            return FunctionSource
+        if "series" in doc:
+            return SeriesCsvSource
+        if "path" in doc:
+            return CsvSource
+        raise ValueError(f"{where} section needs either 'path' or 'generator'")
 
 
-# every key a run config may hold, per section ("" is the top level)
-_CONFIG_KEYS = {
-    "": {"format_version", "task", "dataset", "expansion", "model", "ga",
-         "split", "seed", "output", "density"},
-    "dataset": {"path", "target_column", "header", "series", "column",
-                "generator", "n_samples", "noise", "length", "window",
-                "horizon", "tau", "beta", "gamma", "exponent", "dt", "initial"},
-    "expansion": {"order", "include_bias"},
-    "model": {"mode", "units", "units_per_class", "activation"},
-    # the run seed is the single funnel: no section takes a seed of its own
-    "split": {"train_fraction", "stratified"},
-    "ga": {f.name for f in fields(GaConfig)} - {"seed"},
-}
+@dataclass(frozen=True)
+class CsvSource(DatasetSource):
+    """Feature columns and one target column of a CSV file."""
+
+    path: str
+    target_column: int = -1
+    header: bool = False
+
+    def load(self, mode: str, seed: int) -> Dataset:
+        return load_csv(self.path, target_column=self.target_column,
+                        mode=mode, header=self.header)
 
 
-def _reject_unknown_keys(doc: dict) -> None:
-    for section, known in _CONFIG_KEYS.items():
-        keys = doc if not section else doc.get(section, {})
-        unknown = sorted(set(keys) - known)
-        if unknown:
-            prefix = f"{section}." if section else ""
-            raise ValueError(f"unknown key {prefix}{unknown[0]}")
+@dataclass(frozen=True)
+class SeriesCsvSource(DatasetSource):
+    """One numeric column of a CSV file, windowed into a regression set."""
+
+    path: str
+    series: Literal[True]
+    window: int
+    column: int = 0
+    header: bool = False
+    horizon: int = 1
+
+    def load(self, mode: str, seed: int) -> Dataset:
+        series = load_series_csv(self.path, column=self.column, header=self.header)
+        return window_series(series, self.window, self.horizon,
+                             provenance=f"csv:{self.path}")
+
+
+@dataclass(frozen=True)
+class Noise:
+    sigma: float
+    kind: Literal["constant", "linear"] = NOISE_CONSTANT
+
+
+@dataclass(frozen=True)
+class FunctionSource(DatasetSource):
+    """Samples of the f1 or f2 benchmark function, optionally noisy."""
+
+    generator: Literal["f1", "f2"]
+    n_samples: int
+    noise: Noise | None = None
+
+    def load(self, mode: str, seed: int) -> Dataset:
+        if self.noise is None:
+            return gen_function(self.generator, self.n_samples, seed)
+        return gen_noisy(self.generator, self.noise.sigma, self.n_samples, seed,
+                         noise=self.noise.kind)
+
+
+@dataclass(frozen=True)
+class MackeyGlassSource(DatasetSource):
+    """The Mackey-Glass series, windowed into a regression set."""
+
+    generator: Literal["mackey_glass"]
+    length: int
+    window: int
+    horizon: int = 1
+    tau: int = 17
+    beta: float = 0.2
+    gamma: float = 0.1
+    exponent: float = 10.0
+    dt: float = 1.0
+    initial: float = 1.2
+
+    def load(self, mode: str, seed: int) -> Dataset:
+        series = gen_mackey_glass(
+            self.length, tau=self.tau, beta=self.beta, gamma=self.gamma,
+            exponent=self.exponent, dt=self.dt, initial=self.initial,
+        )
+        return window_series(
+            series, self.window, self.horizon,
+            provenance=f"generator:mackey_glass(length={self.length})",
+        )
+
+
+@dataclass(frozen=True)
+class Expansion:
+    order: int
+    include_bias: bool = True
+
+
+@dataclass(frozen=True)
+class Model:
+    """The model section; classification takes ``units``, ``units_per_class`` or both."""
+
+    mode: Literal["regression", "classification"] = REGRESSION
+    units: int | None = None
+    units_per_class: int | None = None
+    activation: Literal["identity", "logistic"] = IDENTITY
+
+    def __post_init__(self) -> None:
+        if self.mode == REGRESSION and self.units is None:
+            raise ValueError("regression model section requires 'units'")
+        if self.mode == REGRESSION and self.units_per_class is not None:
+            raise ValueError("units_per_class applies to classification models only")
+        if self.mode == CLASSIFICATION and self.units is None \
+                and self.units_per_class is None:
+            raise ValueError(
+                "classification model section requires 'units' or 'units_per_class'"
+            )
+        if self.mode == CLASSIFICATION and self.activation != IDENTITY:
+            raise ValueError("classification models take no output activation")
+
+    def shape(self, expansion: Expansion, dataset: Dataset) -> ModelShape:
+        """The model shape over ``dataset``'s features and classes."""
+        spec = ExpansionSpec(input_dim=dataset.n_features, order=expansion.order,
+                             include_bias=expansion.include_bias)
+        if self.mode == REGRESSION:
+            return ModelShape(spec=spec, n_units=self.units, mode=REGRESSION,
+                              output_activation=self.activation)
+        n_classes = dataset.n_classes
+        per_class = self.units_per_class
+        if per_class is None:
+            if self.units % n_classes:
+                raise ValueError(
+                    f"units={self.units} is not divisible by {n_classes} classes"
+                )
+            per_class = self.units // n_classes
+        shape = ModelShape.for_classification(spec, n_classes, per_class)
+        if self.units is not None and shape.n_units != self.units:
+            raise ValueError(
+                f"model units {self.units} inconsistent with "
+                f"units_per_class {per_class} over {n_classes} classes"
+            )
+        return shape
+
+
+@dataclass(frozen=True)
+class Output:
+    """File names of a run; the ``--out-dir`` flag overrides ``dir``."""
+
+    dir: str = "."
+    report: str = "report.json"
+    model: str = "model.json"
+    trace: str = "trace.csv"
+    density: str = "density.json"
+
+
+@dataclass(frozen=True)
+class Density:
+    """The ``density`` command's orders, GA seeds and tolerance."""
+
+    k_values: tuple[int, ...]
+    seeds: tuple[int, ...]
+    slack: float = 0.02
+    include_oracle: bool = True
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated run configuration.
+    """A run config, parsed strictly: each section is a typed dataclass.
 
-    ``dataset`` selects either a CSV source ({"path", "target_column",
-    "header"} plus {"series", "column", "window", "horizon"} for scalar
-    series) or a generator ({"generator": "f1"|"f2", "n_samples",
-    optional "noise": {"kind", "sigma"}} or {"generator":
-    "mackey_glass", "length", "window", "horizon"}).
+    The fields are the schema (see :mod:`wtanet.schema`): unknown keys,
+    missing keys and wrong JSON types are errors.  ``seed`` is the run's
+    one seed.
     """
 
-    dataset: dict
-    expansion: dict
-    model: dict
-    ga: GaConfig
-    split: SplitSpec
+    dataset: DatasetSource
+    expansion: Expansion
+    model: Model
+    ga: GaConfig = GaConfig()
+    split: SplitSpec = SplitSpec()
     seed: int = 0
     task: str = ""
-    output: dict = field(default_factory=dict)
+    format_version: Literal[1] = 1
+    output: Output = Output()
+    density: Density | None = None
+
+    def __post_init__(self) -> None:
+        if self.density is not None and self.model.mode != REGRESSION:
+            raise ValueError("the density section needs a regression model")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        version = doc.get("format_version", CONFIG_FORMAT_VERSION)
-        if version != CONFIG_FORMAT_VERSION:
-            raise ValueError(f"unsupported config format_version {version!r}")
-        _reject_unknown_keys(doc)
-        for key in ("dataset", "expansion", "model"):
-            if key not in doc:
-                raise ValueError(f"config is missing the {key!r} section")
-        model = dict(doc["model"])
-        mode = model.get("mode", REGRESSION)
-        if mode not in (REGRESSION, CLASSIFICATION):
-            raise ValueError(f"unknown model mode {mode!r}")
-        model.setdefault("activation", IDENTITY)
-        if mode == REGRESSION and "units" not in model:
-            raise ValueError("regression model section requires 'units'")
-        if mode == CLASSIFICATION and "units" not in model \
-                and "units_per_class" not in model:
-            raise ValueError(
-                "classification model section requires 'units' or 'units_per_class'"
-            )
-        expansion = dict(doc["expansion"])
-        if "order" not in expansion:
-            raise ValueError("expansion section requires 'order'")
-        expansion.setdefault("include_bias", True)
-        return cls(
-            dataset=dict(doc["dataset"]),
-            expansion=expansion,
-            model=model,
-            ga=GaConfig.from_dict(dict(doc.get("ga", {}))),
-            split=SplitSpec.from_dict(dict(doc.get("split", {}))),
-            seed=int(doc.get("seed", 0)),
-            task=str(doc.get("task", "")),
-            output=dict(doc.get("output", {})),
-        )
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        return RunConfig(
-            dataset=self.dataset, expansion=self.expansion, model=self.model,
-            ga=self.ga, split=self.split, seed=seed, task=self.task,
-            output=self.output,
-        )
-
-    def to_canonical_dict(self) -> dict:
-        ga = self.ga.to_dict()
-        ga.pop("seed")
-        split = self.split.to_dict()
-        split.pop("seed")
-        return {
-            "format_version": CONFIG_FORMAT_VERSION,
-            "task": self.task,
-            "dataset": self.dataset,
-            "expansion": self.expansion,
-            "model": self.model,
-            "ga": ga,
-            "split": split,
-            "seed": self.seed,
-        }
+    def from_dict(cls, doc) -> "RunConfig":
+        return parse(cls, doc)
 
 
 def config_digest(config: RunConfig) -> str:
-    """Stable content hash of the resolved configuration."""
-    canonical = json.dumps(
-        config.to_canonical_dict(), sort_keys=True, separators=(",", ":")
-    )
+    """Stable content hash of the resolved configuration.
+
+    Defaults are filled in, so leaving a key out and giving its default
+    hash alike; where the files go (``output``, ``density``) is left out.
+    """
+    resolved = asdict(config)
+    del resolved["output"], resolved["density"]
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -185,22 +275,6 @@ class EvalReport:
     wall_time_s: float
     provenance: str
     training: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "mode": self.mode,
-            "metrics": self.metrics,
-            "confusion": self.confusion,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "wall_time_s": self.wall_time_s,
-            "provenance": self.provenance,
-            "training": self.training,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -252,97 +326,6 @@ def least_squares_oracle(dataset: Dataset, spec: ExpansionSpec) -> OracleFit:
     )
 
 
-def _resolve_dataset(cfg: RunConfig) -> Dataset:
-    d = cfg.dataset
-    mode = cfg.model.get("mode", REGRESSION)
-    data_seed = cfg.seed + DATA_SEED_OFFSET
-    if "path" in d:
-        if d.get("series"):
-            series = load_series_csv(
-                d["path"],
-                column=int(d.get("column", 0)),
-                header=bool(d.get("header", False)),
-            )
-            return window_series(
-                series,
-                int(d["window"]),
-                int(d.get("horizon", 1)),
-                provenance=f"csv:{d['path']}",
-            )
-        return load_csv(
-            d["path"],
-            target_column=int(d.get("target_column", -1)),
-            mode=mode,
-            header=bool(d.get("header", False)),
-        )
-    if "generator" in d:
-        which = d["generator"]
-        if which in (datamod.GENERATOR_F1, datamod.GENERATOR_F2):
-            n_samples = int(d["n_samples"])
-            noise = d.get("noise")
-            if noise:
-                return gen_noisy(
-                    which,
-                    float(noise["sigma"]),
-                    n_samples,
-                    data_seed,
-                    noise=noise.get("kind", datamod.NOISE_CONSTANT),
-                )
-            return gen_function(which, n_samples, data_seed)
-        if which == "mackey_glass":
-            series = gen_mackey_glass(
-                int(d["length"]),
-                tau=int(d.get("tau", 17)),
-                beta=float(d.get("beta", 0.2)),
-                gamma=float(d.get("gamma", 0.1)),
-                exponent=float(d.get("exponent", 10.0)),
-                dt=float(d.get("dt", 1.0)),
-                initial=float(d.get("initial", 1.2)),
-            )
-            return window_series(
-                series,
-                int(d["window"]),
-                int(d.get("horizon", 1)),
-                provenance=f"generator:mackey_glass(length={d['length']})",
-            )
-        raise ValueError(f"unknown generator {which!r}")
-    raise ValueError("dataset section needs either 'path' or 'generator'")
-
-
-def _resolve_shape(cfg: RunConfig, dataset: Dataset) -> ModelShape:
-    spec = ExpansionSpec(
-        input_dim=dataset.n_features,
-        order=int(cfg.expansion["order"]),
-        include_bias=bool(cfg.expansion.get("include_bias", True)),
-    )
-    mode = cfg.model.get("mode", REGRESSION)
-    activation = cfg.model.get("activation", IDENTITY)
-    if mode == CLASSIFICATION:
-        n_classes = dataset.n_classes
-        if "units_per_class" in cfg.model:
-            per_class = int(cfg.model["units_per_class"])
-        else:
-            units = int(cfg.model["units"])
-            if units % n_classes:
-                raise ValueError(
-                    f"units={units} is not divisible by {n_classes} classes"
-                )
-            per_class = units // n_classes
-        shape = ModelShape.for_classification(spec, n_classes, per_class)
-        if "units" in cfg.model and shape.n_units != int(cfg.model["units"]):
-            raise ValueError(
-                f"model units {cfg.model['units']} inconsistent with "
-                f"units_per_class {per_class} over {n_classes} classes"
-            )
-        return shape
-    return ModelShape(
-        spec=spec,
-        n_units=int(cfg.model["units"]),
-        mode=REGRESSION,
-        output_activation=activation,
-    )
-
-
 def _model_labels(model: WtaModel, data: Dataset) -> np.ndarray:
     # the file's first-appearance label ids, in the model's label order
     if model.class_names is None or data.label_names is None:
@@ -372,6 +355,11 @@ def _evaluate_model(model: WtaModel, data: Dataset) -> tuple[dict, list | None, 
     return metrics, None, outputs
 
 
+def load_dataset(config: RunConfig) -> Dataset:
+    """The run's whole dataset; a generator draws from seed + DATA_SEED_OFFSET."""
+    return config.dataset.load(config.model.mode, config.seed + DATA_SEED_OFFSET)
+
+
 def run_experiment(config: RunConfig, *, out_dir: str | None = None,
                    write: bool = True) -> ExperimentResult:
     """Run one experiment end to end: data, split, training, evaluation.
@@ -385,26 +373,22 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
     digest = config_digest(config)
 
     try:
-        dataset = _resolve_dataset(config)
+        dataset = load_dataset(config)
     except (OSError, ValueError) as exc:
-        raise _phase_wrap("data", exc) from exc
+        raise PhaseError("data", exc) from exc
 
     try:
-        split = SplitSpec(
-            train_fraction=config.split.train_fraction,
-            stratified=config.split.stratified,
-            seed=config.seed + SPLIT_SEED_OFFSET,
+        train_data, test_data = split_dataset(
+            dataset, config.split, config.seed + SPLIT_SEED_OFFSET
         )
-        train_data, test_data = split_dataset(dataset, split)
     except ValueError as exc:
-        raise _phase_wrap("split", exc) from exc
+        raise PhaseError("split", exc) from exc
 
     try:
-        shape = _resolve_shape(config, dataset)
-        ga_config = config.ga.with_seed(config.seed + GA_SEED_OFFSET)
-        trace = train(shape, train_data, ga_config)
+        shape = config.model.shape(config.expansion, dataset)
+        trace = train(shape, train_data, config.ga, config.seed + GA_SEED_OFFSET)
     except ValueError as exc:
-        raise _phase_wrap("train", exc) from exc
+        raise PhaseError("train", exc) from exc
 
     model = WtaModel(
         trace.model.spec, trace.model.excitatory, trace.model.inhibitory,
@@ -416,7 +400,7 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
     try:
         metrics, confusion, outputs = _evaluate_model(model, test_data)
     except ValueError as exc:
-        raise _phase_wrap("evaluate", exc) from exc
+        raise PhaseError("evaluate", exc) from exc
 
     if shape.mode == REGRESSION:
         train_quality = {
@@ -443,19 +427,17 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
     )
 
     if write:
+        out = config.output
+        directory = out_dir if out_dir is not None else out.dir
         try:
-            out = dict(config.output)
-            directory = out_dir if out_dir is not None else out.get("dir", ".")
             os.makedirs(directory, exist_ok=True)
-            report_path = os.path.join(directory, out.get("report", "report.json"))
-            model_path = os.path.join(directory, out.get("model", "model.json"))
-            trace_path = os.path.join(directory, out.get("trace", "trace.csv"))
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-            save_model(model, model_path)
-            trace_to_csv(trace, trace_path)
+            with open(os.path.join(directory, out.report), "w", encoding="utf-8") as fh:
+                json.dump(asdict(report), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            save_model(model, os.path.join(directory, out.model))
+            trace_to_csv(trace, os.path.join(directory, out.trace))
         except OSError as exc:
-            raise _phase_wrap("write", exc) from exc
+            raise PhaseError("write", exc) from exc
 
     return ExperimentResult(
         report=report,
@@ -477,16 +459,6 @@ class DensityReport:
     seeds: list[int]
     slack: float
     non_increasing: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k_values": self.k_values,
-            "ga_rmse": self.ga_rmse,
-            "oracle_rmse": self.oracle_rmse,
-            "seeds": self.seeds,
-            "slack": self.slack,
-            "non_increasing": self.non_increasing,
-        }
 
 
 def _non_increasing(values, slack: float) -> bool:
@@ -519,7 +491,7 @@ def density_check(dataset: Dataset, k_values, n_units: int,
         shape = ModelShape(spec=spec, n_units=n_units, mode=REGRESSION)
         # min-over-seeds RMSE == max-over-seeds fitness (fitness is -MSE)
         best_fitness = max(
-            train(shape, dataset, ga_config.with_seed(seed)).best_fitness_value
+            train(shape, dataset, ga_config, seed).best_fitness_value
             for seed in seeds
         )
         ga_rmse.append(float(np.sqrt(max(0.0, -best_fitness))))

@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 
 from . import bench, data as datamod
 from .bench import PhaseError, RunConfig, config_digest, run_experiment
@@ -106,19 +107,17 @@ def _load_vector_instance(path) -> dict:
     return {"rows": values, "x": values[0]}
 
 
-def _read_config(path) -> RunConfig:
+def _read_config(args) -> RunConfig:
     try:
-        return RunConfig.from_file(path)
-    except json.JSONDecodeError:
-        raise
+        with open(args.config, encoding="utf-8") as fh:
+            config = RunConfig.from_dict(json.load(fh))
     except ValueError as exc:
-        raise PhaseError("config", str(exc)) from exc
+        raise PhaseError("config", exc) from exc
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _cmd_train(args) -> int:
-    config = _read_config(args.config)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
+    config = _read_config(args)
     result = run_experiment(config, out_dir=args.out_dir)
     if not args.quiet:
         metrics = " ".join(
@@ -240,33 +239,24 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    density = doc.get("density")
-    if not density:
+    config = _read_config(args)
+    density = config.density
+    if density is None:
         raise PhaseError("config", "config is missing the 'density' section")
-    try:
-        config = RunConfig.from_dict(doc)
-    except ValueError as exc:
-        raise PhaseError("config", str(exc)) from exc
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    dataset = bench._resolve_dataset(config)
     report = bench.density_check(
-        dataset,
-        density["k_values"],
-        int(config.model["units"]),
-        config.ga.with_seed(config.seed + bench.GA_SEED_OFFSET),
-        density["seeds"],
-        slack=float(density.get("slack", 0.02)),
-        include_oracle=bool(density.get("include_oracle", True)),
+        bench.load_dataset(config),
+        density.k_values,
+        config.model.units,
+        config.ga,
+        density.seeds,
+        slack=density.slack,
+        include_oracle=density.include_oracle,
     )
-    out_dir = args.out_dir if args.out_dir is not None \
-        else config.output.get("dir", ".")
+    out_dir = args.out_dir if args.out_dir is not None else config.output.dir
     os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, config.output.get("density", "density.json"))
+    out_path = os.path.join(out_dir, config.output.density)
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if not args.quiet:
         status = "non-increasing" if report.non_increasing else "NOT non-increasing"
@@ -296,8 +286,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except PhaseError as exc:
         return _fail(exc.phase, exc.message)
-    except FileNotFoundError as exc:
-        return _fail("io", str(exc))
     except OSError as exc:
         return _fail("io", str(exc))
     except json.JSONDecodeError as exc:

@@ -119,28 +119,12 @@ class SplitSpec:
 
     train_fraction: float = 0.7
     stratified: bool | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "train_fraction": self.train_fraction,
-            "stratified": self.stratified,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        return cls(
-            train_fraction=float(d.get("train_fraction", 0.7)),
-            stratified=d.get("stratified"),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 def _feature_ranges(raw: np.ndarray) -> np.ndarray:
@@ -299,8 +283,9 @@ def _train_count(total: int, fraction: float) -> int:
     return min(max(k, 1), total - 1)
 
 
-def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic train/test split.
+def split_dataset(dataset: Dataset, spec: SplitSpec,
+                  seed: int) -> tuple[Dataset, Dataset]:
+    """Deterministic train/test split, a pure function of its arguments.
 
     Stratified splits (classification) preserve class proportions to
     within one sample per class; every class needs at least 2 samples.
@@ -313,7 +298,7 @@ def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     if dataset.n_samples < 2:
         raise ValueError("need at least 2 samples to split")
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if stratified:
         train_idx: list[int] = []
         test_idx: list[int] = []
@@ -341,7 +326,7 @@ def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         train_sel = np.sort(perm[:k])
         test_sel = np.sort(perm[k:])
 
-    note = f"split(frac={spec.train_fraction},stratified={stratified},seed={spec.seed})"
+    note = f"split(frac={spec.train_fraction},stratified={stratified},seed={seed})"
     return (
         dataset.replace_samples(train_sel, provenance_note=f"{note}:train"),
         dataset.replace_samples(test_sel, provenance_note=f"{note}:test"),
@@ -469,6 +454,8 @@ def gen_mackey_glass(length: int, *, tau: int = 17, beta: float = 0.2,
     ``x[t] = x[t-1] + dt*(beta*x[t-tau]/(1 + x[t-tau]**exponent)
     - gamma*x[t-1])``.  Deterministic: no randomness is involved.
     """
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
     if length < tau + 1:
         raise ValueError(f"length must be >= tau+1 ({tau + 1}), got {length}")
     x = np.empty(length, dtype=np.float64)

@@ -32,21 +32,6 @@ class ExpansionSpec:
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "order": self.order,
-            "include_bias": self.include_bias,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExpansionSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            order=int(d["order"]),
-            include_bias=bool(d.get("include_bias", True)),
-        )
-
 
 def expansion_dim(spec: ExpansionSpec) -> int:
     """Length of the expanded pattern: n*(2K+1), plus 1 when biased."""

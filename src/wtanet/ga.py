@@ -7,6 +7,8 @@ unchanged and fills the remainder with tournament-selected parents,
 BLX-alpha crossover and per-gene Gaussian mutation with a decaying
 sigma.
 
+A training run is a pure function of (shape, dataset, config, seed);
+the seed is an argument of :func:`train`, not a field of the config.
 Random draws come from a single seeded PCG64 generator in a fixed,
 member-major order: for each offspring slot, the two tournaments, the
 crossover coin, the BLX uniforms (only when crossover fires), the
@@ -24,8 +26,7 @@ promised, because the block product may round differently.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +108,6 @@ class GaConfig:
     sigma_decay: float = 0.995
     elitism_count: int = 2
     init_weight_range: tuple[float, float] = (-1.0, 1.0)
-    seed: int = 0
     fitness_stagnation_patience: int = 50
 
     def __post_init__(self) -> None:
@@ -139,33 +139,6 @@ class GaConfig:
 
     def resolved_mutation_rate(self, n_genes: int) -> float:
         return self.mutation_rate if self.mutation_rate is not None else 1.0 / n_genes
-
-    def to_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "tournament_size": self.tournament_size,
-            "crossover_rate": self.crossover_rate,
-            "blx_alpha": self.blx_alpha,
-            "mutation_rate": self.mutation_rate,
-            "mutation_sigma_initial": self.mutation_sigma_initial,
-            "sigma_decay": self.sigma_decay,
-            "elitism_count": self.elitism_count,
-            "init_weight_range": list(self.init_weight_range),
-            "seed": self.seed,
-            "fitness_stagnation_patience": self.fitness_stagnation_patience,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaConfig":
-        kwargs = dict(d)
-        if "init_weight_range" in kwargs:
-            lo, hi = kwargs["init_weight_range"]
-            kwargs["init_weight_range"] = (float(lo), float(hi))
-        return cls(**kwargs)
-
-    def with_seed(self, seed: int) -> "GaConfig":
-        return replace(self, seed=seed)
 
 
 def encode(model: WtaModel) -> np.ndarray:
@@ -400,37 +373,32 @@ class TrainTrace:
     best_fitness_value: float
     best_generation: int
     model: WtaModel
-    seed: int
-    wall_time_s: float
     generations_run: int
     stopped_early: bool
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
-          *, snapshot_every: int = 0) -> TrainTrace:
+          seed: int) -> TrainTrace:
     """Evolve a population of chromosomes against the training data.
 
     Runs for ``config.generations`` generations or until the best-ever
     fitness has not strictly improved for
     ``config.fitness_stagnation_patience`` consecutive generations.
-    The whole run is a pure function of (shape, dataset, config); with
-    ``generations=0`` it returns the best member of the random initial
-    population with an empty trace.
+    The whole run is a pure function of (shape, dataset, config, seed);
+    with ``generations=0`` it returns the best member of the random
+    initial population with an empty trace.
 
     Args:
         shape: model shape to optimize.
         dataset: training portion (splitting happens upstream).
-        config: GA hyperparameters including the seed.
-        snapshot_every: record the best chromosome every this many
-            generations (0 disables snapshots).
+        config: GA hyperparameters.
+        seed: seed of the run's one PCG64 generator.
 
     Returns:
         A :class:`TrainTrace` with the decoded best-ever model.
     """
-    t0 = time.perf_counter()
     evaluator = FitnessEvaluator(dataset, shape)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     lo, hi = config.init_weight_range
     population = rng.uniform(lo, hi, size=(config.population_size, shape.n_genes))
 
@@ -442,7 +410,6 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
 
     best_trace: list[float] = []
     mean_trace: list[float] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
     stalled = 0
     stopped_early = False
     generations_run = 0
@@ -466,8 +433,6 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
             stalled = 0
         else:
             stalled += 1
-        if snapshot_every and (gen + 1) % snapshot_every == 0:
-            snapshots.append((gen, best_genes.copy()))
         if stalled >= config.fitness_stagnation_patience:
             stopped_early = True
             break
@@ -479,11 +444,8 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
         best_fitness_value=best_value,
         best_generation=best_generation,
         model=decode(best_genes, shape),
-        seed=config.seed,
-        wall_time_s=time.perf_counter() - t0,
         generations_run=generations_run,
         stopped_early=stopped_early,
-        snapshots=snapshots,
     )
 
 

@@ -12,10 +12,12 @@ the output (regression) or selects the unit's class label
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
 from .expansion import ExpansionSpec, expand_batch, expansion_dim
+from .schema import parse
 
 MODEL_FORMAT_VERSION = 2
 
@@ -161,7 +163,7 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
 def model_to_dict(model: WtaModel) -> dict:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "spec": model.spec.to_dict(),
+        "spec": asdict(model.spec),
         "mode": model.mode,
         "output_activation": model.output_activation,
         "units": [
@@ -180,10 +182,12 @@ def model_to_dict(model: WtaModel) -> dict:
 
 def model_from_dict(doc: dict) -> WtaModel:
     """Model from its JSON document; version 1 carries no normalization."""
+    if not isinstance(doc, dict):
+        raise ValueError("a model file must hold a JSON object")
     version = doc.get("format_version")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version {version!r}")
-    spec = ExpansionSpec.from_dict(doc["spec"])
+    spec = parse(ExpansionSpec, doc["spec"], "spec")
     units = doc["units"]
     excitatory = np.array([u["v"] for u in units], dtype=np.float64)
     inhibitory = np.array([u["w"] for u in units], dtype=np.float64)

@@ -81,7 +81,7 @@ def test_c02_oracle_dominance_and_proximity():
     ratios = []
     dominance_ok = True
     for seed in range(5):
-        trace = train(shape, dataset, GaConfig(seed=seed))
+        trace = train(shape, dataset, GaConfig(), seed)
         ga_rmse = float(np.sqrt(-trace.best_fitness_value))
         dominance_ok &= ga_rmse >= oracle.rmse - 1e-9
         ratios.append(ga_rmse / oracle.rmse)
@@ -328,10 +328,10 @@ def test_c10_invariant_suite():
             n_units=int(rng.integers(1, 4)),
         )
         config = GaConfig(
-            population_size=10, generations=101, seed=run,
+            population_size=10, generations=101,
             fitness_stagnation_patience=10_000,
         )
-        trace = train(shape, dataset, config)
+        trace = train(shape, dataset, config, run)
         pairs = zip(trace.best_fitness, trace.best_fitness[1:])
         monotone_cases += sum(b >= a for a, b in pairs)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestRunExperiment:
         config = small_config(seed=5)
         a = run_experiment(config, out_dir=tmp_path / "a")
         b = run_experiment(config, out_dir=tmp_path / "b")
-        da, db = a.report.to_dict(), b.report.to_dict()
+        da, db = asdict(a.report), asdict(b.report)
         da.pop("wall_time_s"), db.pop("wall_time_s")
         assert da == db
         assert (tmp_path / "a/model.json").read_bytes() == \
@@ -192,9 +193,21 @@ class TestConfigDigest:
         ))
         assert config_digest(a) == config_digest(b)
 
+    @pytest.mark.parametrize("bare, explicit", [
+        ({"model": {"units": 2}}, {"model": {"units": 2, "mode": "regression"}}),
+        ({"dataset": {"generator": "mackey_glass", "length": 200, "window": 4}},
+         {"dataset": {"generator": "mackey_glass", "length": 200, "window": 4,
+                      "horizon": 1}}),
+        ({"ga": {"crossover_rate": 1}}, {"ga": {"crossover_rate": 1.0}}),
+    ], ids=["model-mode", "mackey-glass-horizon", "int-for-float"])
+    def test_defaults_and_explicit_values_hash_alike(self, bare, explicit):
+        # the digest covers the resolved config, defaults filled in
+        assert config_digest(small_config(**bare)) == \
+            config_digest(small_config(**explicit))
+
     def test_any_change_changes_digest(self):
         base = small_config(seed=0)
-        assert config_digest(base) != config_digest(base.with_seed(1))
+        assert config_digest(base) != config_digest(replace(base, seed=1))
 
     def test_missing_sections_rejected(self):
         with pytest.raises(ValueError, match="dataset"):

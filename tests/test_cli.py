@@ -1,8 +1,12 @@
+import copy
 import json
 import math
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wtanet import ExpansionSpec, WtaModel, load_model, mae, predict, rmse, save_model
 from wtanet.cli import main
@@ -79,17 +83,103 @@ class TestTrainCommand:
         ("dataset", "n_sample"),
         ("split", "seed"),  # the top-level seed is the only one
         ("ga", "seed"),
+        ("output", "dri"),
+        ("density", "slak"),
+        ("dataset.noise", "knd"),
+        ("dataset", "window"),  # a key of another source
     ])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, section, key):
-        path = write_config(tmp_path)
+        path = write_config(
+            tmp_path,
+            dataset={"generator": "f1", "n_samples": 50,
+                     "noise": {"kind": "constant", "sigma": 0.1}},
+            density={"k_values": [0, 1], "seeds": [0, 1, 2]},
+        )
         doc = json.loads(path.read_text())
-        (doc[section] if section else doc)[key] = 1
+        target = doc
+        for name in filter(None, section.split(".")):
+            target = target[name]
+        target[key] = 1
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "train", str(path))
         name = f"{section}.{key}" if section else key
         assert code == 1
         assert err == f"error:config: unknown key {name}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, change", [
+        ("train", {"expansion": {"order": 2, "include_bias": "false"}}),
+        ("train", {"expansion": {"order": 2.7}}),
+        ("train", {"model": {"units": "2"}}),
+        ("train", {"seed": 1.5}),
+        ("train", {"ga": {"init_weight_range": [1]}}),
+        ("train", None),  # the whole document is a list
+        ("density", {"density": {"k_values": [0, 1]}}),
+        ("density", {"model": {"mode": "classification", "units_per_class": 1},
+                     "density": {"k_values": [0, 1], "seeds": [0, 1, 2]}}),
+    ], ids=["include_bias-string", "order-float", "units-string", "seed-float",
+            "weight-range-short", "top-level-list", "density-no-seeds",
+            "density-classification"])
+    def test_wrong_type_rejected(self, tmp_path, capsys, command, change):
+        path = write_config(tmp_path, **(change or {}))
+        if change is None:
+            path.write_text(f"[{path.read_text()}]")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:config: ")
+        assert not (tmp_path / "out").exists()
+
+
+# a small valid f1 config, and what fuzzing may put into it
+FUZZ_BASE = {
+    "task": "fuzz",
+    "dataset": {"generator": "f1", "n_samples": 12},
+    "expansion": {"order": 1},
+    "model": {"units": 2},
+    "ga": {"population_size": 4, "generations": 2},
+    "split": {"train_fraction": 0.5},
+    "seed": 0,
+}
+FUZZ_KEYS = sorted(
+    set(FUZZ_BASE) | {k for v in FUZZ_BASE.values() if isinstance(v, dict) for k in v}
+    | {"mode", "units_per_class", "activation", "include_bias", "noise", "sigma",
+       "kind", "window", "path", "series", "stratified", "elitism_count",
+       "init_weight_range", "mutation_rate", "output", "density", "format_version",
+       "bogus"}
+)
+# small magnitudes only: a mutated size must not make a large run
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12),
+    st.floats(-3, 12, allow_nan=False), st.just(float("nan")),
+    st.sampled_from(["f1", "f2", "mackey_glass", "regression", "classification",
+                     "logistic", "constant", "false", "2", ""]),
+    st.lists(st.integers(-2, 3), max_size=3), st.builds(dict),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, data):
+    doc = copy.deepcopy(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 3))):
+        objects = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+        target = data.draw(st.sampled_from(objects))
+        action = data.draw(st.sampled_from(["retype", "retype", "delete", "add"]))
+        if action == "add" or not target:
+            target[data.draw(st.sampled_from(FUZZ_KEYS))] = data.draw(FUZZ_VALUES)
+        elif action == "delete":
+            del target[data.draw(st.sampled_from(sorted(target)))]
+        else:
+            target[data.draw(st.sampled_from(sorted(target)))] = data.draw(FUZZ_VALUES)
+    work = tempfile.mkdtemp(dir=tmp_path)
+    path = f"{work}/config.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, _, err = run_cli(capsys, "--quiet", "--out-dir", f"{work}/out", "train", path)
+    if code != 0:
+        assert code == 1
+        assert re.fullmatch(r"error:[a-z]+: [^\n]*\n", err), err
 
 
 class TestSynthEvalPredict:
@@ -348,3 +438,16 @@ class TestNonFiniteOutputs:
         assert code == 1
         assert err == "error:data: non-finite output at row 0\n"
         assert not output.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("doc", [[1, 2], "model"], ids=["list", "string"])
+def test_model_file_not_an_object_fails_with_one_error_line(tmp_path, capsys, command, doc):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,1.0\n")
+    extra = ["-o", str(tmp_path / "pred.csv")] if command == "predict" else []
+    code, _, err = run_cli(capsys, command, str(model), str(data), *extra)
+    assert code == 1
+    assert err == "error:data: a model file must hold a JSON object\n"

@@ -105,7 +105,7 @@ class TestNormalizationInversion:
 class TestSplit:
     def test_seven_three(self):
         ds = gen_function("f1", 10, seed=0)
-        train, test = split_dataset(ds, SplitSpec(train_fraction=0.7, seed=0))
+        train, test = split_dataset(ds, SplitSpec(train_fraction=0.7), 0)
         assert train.n_samples == 7 and test.n_samples == 3
 
     def test_stratified_balance(self, tmp_path):
@@ -117,7 +117,7 @@ class TestSplit:
                 lines.append(f"{rng.uniform():.6f},{c}\n")
         path.write_text("".join(lines))
         ds = load_csv(path, target_column=-1, mode="classification")
-        train, _ = split_dataset(ds, SplitSpec(train_fraction=0.7, seed=1))
+        train, _ = split_dataset(ds, SplitSpec(train_fraction=0.7), 1)
         counts = np.bincount(train.targets, minlength=2)
         np.testing.assert_array_equal(counts, [35, 35])
 
@@ -127,16 +127,16 @@ class TestSplit:
             n = int(rng.integers(4, 60))
             ds = gen_function("f1", n, seed=trial)
             frac = float(rng.uniform(0.2, 0.8))
-            train, test = split_dataset(ds, SplitSpec(train_fraction=frac, seed=trial))
+            train, test = split_dataset(ds, SplitSpec(train_fraction=frac), trial)
             assert train.n_samples + test.n_samples == n
             joined = np.concatenate([train.targets, test.targets])
             assert sorted(joined.tolist()) == sorted(ds.targets.tolist())
 
     def test_same_seed_same_partition(self):
         ds = gen_function("f2", 40, seed=3)
-        spec = SplitSpec(train_fraction=0.6, seed=9)
-        a_train, a_test = split_dataset(ds, spec)
-        b_train, b_test = split_dataset(ds, spec)
+        spec = SplitSpec(train_fraction=0.6)
+        a_train, a_test = split_dataset(ds, spec, 9)
+        b_train, b_test = split_dataset(ds, spec, 9)
         assert a_train.inputs.tobytes() == b_train.inputs.tobytes()
         assert a_test.inputs.tobytes() == b_test.inputs.tobytes()
 
@@ -145,7 +145,7 @@ class TestSplit:
         path.write_text("0.1,a\n0.2,a\n0.3,rare\n")
         ds = load_csv(path, target_column=-1, mode="classification")
         with pytest.raises(ValueError, match="rare"):
-            split_dataset(ds, SplitSpec(train_fraction=0.7, seed=0))
+            split_dataset(ds, SplitSpec(train_fraction=0.7), 0)
 
 
 class TestWindowSeries:
@@ -241,6 +241,12 @@ class TestMackeyGlass:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             gen_mackey_glass(10)
+
+    @pytest.mark.parametrize("tau", [0, -2])
+    def test_delay_below_one_rejected(self, tau):
+        # tau 0 read unset memory, a negative tau indexed past the end
+        with pytest.raises(ValueError, match="tau must be >= 1"):
+            gen_mackey_glass(20, tau=tau)
 
 
 class TestCsvRoundTrip:

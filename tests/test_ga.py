@@ -254,7 +254,7 @@ class TestEvolveGeneration:
         # parents 0 and 1 with alpha 0.5 bound children to [-0.5, 1.5]
         config = GaConfig(
             population_size=2, crossover_rate=1.0, blx_alpha=0.5,
-            mutation_rate=0.0, elitism_count=0, tournament_size=1, seed=0,
+            mutation_rate=0.0, elitism_count=0, tournament_size=1,
         )
         population = np.array([[0.0] * 8, [1.0] * 8])
         rng = np.random.default_rng(0)
@@ -269,7 +269,7 @@ class TestEvolveGeneration:
         population = rng_pop.uniform(-1, 1, size=(6, 4))
         config = GaConfig(
             population_size=6, crossover_rate=0.0, mutation_rate=0.5,
-            mutation_sigma_initial=0.0, elitism_count=0, seed=0,
+            mutation_sigma_initial=0.0, elitism_count=0,
         )
         scores = {genes.tobytes(): float(i) for i, genes in enumerate(population)}
         children = evolve_generation(
@@ -284,7 +284,7 @@ class TestEvolveGeneration:
     def test_same_seed_same_next_population(self):
         rng_pop = np.random.default_rng(5)
         population = rng_pop.uniform(-1, 1, size=(8, 6))
-        config = GaConfig(population_size=8, elitism_count=2, seed=0)
+        config = GaConfig(population_size=8, elitism_count=2)
         evaluator = lambda pop: -np.sum(pop ** 2, axis=1)
         a = evolve_generation(population, evaluator, config, np.random.default_rng(7))
         b = evolve_generation(population, evaluator, config, np.random.default_rng(7))
@@ -296,7 +296,7 @@ class TestEvolveGeneration:
         evaluator = lambda pop: -np.sum(pop ** 2, axis=1)
         fits = evaluator(population)
         best_two = population[np.argsort(-fits, kind="stable")[:2]]
-        config = GaConfig(population_size=10, elitism_count=2, seed=0)
+        config = GaConfig(population_size=10, elitism_count=2)
         children = evolve_generation(
             population, evaluator, config, np.random.default_rng(8)
         )
@@ -311,7 +311,7 @@ class TestEvolveGeneration:
         evaluator = lambda pop: -np.round(np.sum(pop ** 2, axis=1), 1)
         config = GaConfig(
             population_size=12, elitism_count=2, tournament_size=3,
-            crossover_rate=crossover_rate, mutation_rate=0.3, seed=0,
+            crossover_rate=crossover_rate, mutation_rate=0.3,
         )
         for gen_seed in range(5):
             a, b = np.random.default_rng(gen_seed), np.random.default_rng(gen_seed)
@@ -328,8 +328,8 @@ class TestTrain:
     def test_zero_generations_returns_initial_best(self):
         ds = tiny_dataset()
         shape = tiny_shape()
-        config = GaConfig(population_size=10, generations=0, seed=42)
-        trace = train(shape, ds, config)
+        config = GaConfig(population_size=10, generations=0)
+        trace = train(shape, ds, config, 42)
         assert trace.best_fitness == [] and trace.mean_fitness == []
         assert trace.generations_run == 0
         assert trace.best_generation == -1
@@ -343,9 +343,9 @@ class TestTrain:
     def test_fixed_seed_reproduces_model_bit_exactly(self):
         ds = tiny_dataset(seed=9, n=30)
         shape = tiny_shape(order=2, n_units=2)
-        config = GaConfig(population_size=12, generations=15, seed=7)
-        a = train(shape, ds, config)
-        b = train(shape, ds, config)
+        config = GaConfig(population_size=12, generations=15)
+        a = train(shape, ds, config, 7)
+        b = train(shape, ds, config, 7)
         assert a.best_genes.tobytes() == b.best_genes.tobytes()
         assert a.best_fitness == b.best_fitness
         assert a.model.excitatory.tobytes() == b.model.excitatory.tobytes()
@@ -353,8 +353,8 @@ class TestTrain:
     def test_elitism_makes_best_fitness_non_decreasing(self):
         ds = tiny_dataset(seed=11, n=25)
         shape = tiny_shape(order=1, n_units=2)
-        config = GaConfig(population_size=10, generations=40, seed=5)
-        trace = train(shape, ds, config)
+        config = GaConfig(population_size=10, generations=40)
+        trace = train(shape, ds, config, 5)
         diffs = np.diff(trace.best_fitness)
         assert np.all(diffs >= 0)
 
@@ -362,11 +362,11 @@ class TestTrain:
         ds = tiny_dataset(seed=12, n=15)
         shape = tiny_shape(order=0, n_units=1)
         config = GaConfig(
-            population_size=8, generations=500, seed=1,
+            population_size=8, generations=500,
             fitness_stagnation_patience=5, mutation_sigma_initial=0.0,
             crossover_rate=0.0, mutation_rate=0.0,
         )
-        trace = train(shape, ds, config)
+        trace = train(shape, ds, config, 1)
         # pure cloning cannot improve, so patience cuts the run short
         assert trace.stopped_early
         assert trace.generations_run <= 10
@@ -374,19 +374,10 @@ class TestTrain:
     def test_training_improves_over_initial_population(self):
         ds = gen_noisy("f1", 0.05, 60, seed=13)
         shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=2), n_units=2)
-        config = GaConfig(population_size=30, generations=60, seed=2)
-        trace = train(shape, ds, config)
+        config = GaConfig(population_size=30, generations=60)
+        trace = train(shape, ds, config, 2)
         assert trace.best_fitness[-1] > trace.best_fitness[0]
         assert trace.best_fitness_value >= -0.05
-
-    def test_snapshot_cadence_records_best_genes(self):
-        ds = tiny_dataset(seed=14, n=20)
-        shape = tiny_shape()
-        config = GaConfig(population_size=8, generations=20, seed=4)
-        trace = train(shape, ds, config, snapshot_every=5)
-        assert [gen for gen, _ in trace.snapshots] == [4, 9, 14, 19]
-        # the last snapshot is the best-so-far chromosome at that point
-        assert trace.snapshots[-1][1].tobytes() == trace.best_genes.tobytes()
 
     def test_known_chromosomes_are_not_rescored(self, monkeypatch):
         # elites, unmutated clones and blends of equal parents keep the
@@ -401,7 +392,7 @@ class TestTrain:
         monkeypatch.setattr(FitnessEvaluator, "__call__", counting)
         ds = gen_noisy("f1", 0.1, 100, seed=0)
         shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=3), n_units=4)
-        trace = train(shape, ds, GaConfig())
+        trace = train(shape, ds, GaConfig(), 0)
         assert len(scored) == 11_117
         assert len(set(scored)) == len(scored)
         assert trace.best_fitness_value == -0.011155041395701315
@@ -412,7 +403,7 @@ class TestTrain:
         spec = ExpansionSpec(input_dim=1, order=1)
         clf_shape = ModelShape.for_classification(spec, n_classes=2)
         with pytest.raises(ValueError, match="mode"):
-            train(clf_shape, ds, GaConfig(population_size=4, generations=1))
+            train(clf_shape, ds, GaConfig(population_size=4, generations=1), 0)
 
 
 class TestGaConfigValidation:
@@ -425,8 +416,3 @@ class TestGaConfigValidation:
             GaConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             GaConfig(sigma_decay=0.0)
-
-    def test_dict_round_trip(self):
-        config = GaConfig(population_size=30, seed=11)
-        clone = GaConfig.from_dict(config.to_dict())
-        assert clone == config

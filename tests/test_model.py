@@ -254,6 +254,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format_version"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [("include_bias", "false"), ("order", 2.5)])
+    def test_spec_is_parsed_strictly(self, key, value):
+        # bool("false") is True and int(2.5) is 2: neither may load
+        doc = model_to_dict(random_model(np.random.default_rng(14)))
+        doc["spec"][key] = value
+        with pytest.raises(ValueError, match=f"spec.{key} must be"):
+            model_from_dict(doc)
+
     def test_dict_round_trip_is_exact(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, normalization=[[-0.3, 2.1], [1e-3, 7.0]])
