@@ -9,6 +9,7 @@ benchmark harness.
 """
 
 from .bench import (
+    Density,
     DensityReport,
     EvalReport,
     ExperimentResult,
@@ -45,7 +46,6 @@ from .ga import (
     TrainTrace,
     decode,
     encode,
-    evolve_generation,
     trace_to_csv,
     train,
 )
@@ -74,6 +74,7 @@ __all__ = [
     "CLASSIFICATION",
     "REGRESSION",
     "Dataset",
+    "Density",
     "DensityReport",
     "EvalReport",
     "ExpansionSpec",
@@ -96,7 +97,6 @@ __all__ = [
     "decode",
     "density_check",
     "encode",
-    "evolve_generation",
     "expand",
     "expand_batch",
     "expansion_dim",

@@ -220,6 +220,15 @@ class Density:
     slack: float = 0.02
     include_oracle: bool = True
 
+    def __post_init__(self) -> None:
+        k = self.k_values
+        if not k or any(b <= a for a, b in zip(k, k[1:])):
+            raise ValueError(f"k_values must be strictly increasing, got {list(k)}")
+        if len(self.seeds) < 3:
+            raise ValueError(f"need at least 3 seeds, got {len(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -242,6 +251,8 @@ class RunConfig:
     density: Density | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.density is not None and self.model.mode != REGRESSION:
             raise ValueError("the density section needs a regression model")
 
@@ -465,44 +476,38 @@ def _non_increasing(values, slack: float) -> bool:
     return all(b <= a + slack for a, b in zip(values, values[1:]))
 
 
-def density_check(dataset: Dataset, k_values, n_units: int,
-                  ga_config: GaConfig, seeds, *, slack: float = 0.02,
-                  include_oracle: bool = True) -> DensityReport:
+def density_check(dataset: Dataset, density: Density, n_units: int,
+                  ga_config: GaConfig) -> DensityReport:
     """Check that a richer basis never hurts the best attainable fit.
 
-    For each expansion order the min-over-seeds final training RMSE is
-    recorded; the report states whether that sequence is non-increasing
-    within ``slack``.  The least-squares oracle sequence (nested bases)
-    is exactly non-increasing and is included for reference.
+    For each order in ``density.k_values`` the min-over-seeds final
+    training RMSE is recorded; the report states whether that sequence
+    is non-increasing within ``density.slack``.  The least-squares
+    oracle sequence (nested bases) is exactly non-increasing and is
+    included for reference.
     """
-    k_values = [int(k) for k in k_values]
-    if any(b <= a for a, b in zip(k_values, k_values[1:])) or not k_values:
-        raise ValueError(f"k_values must be strictly increasing, got {k_values}")
-    seeds = [int(s) for s in seeds]
-    if len(seeds) < 3:
-        raise ValueError(f"need at least 3 seeds, got {len(seeds)}")
     if dataset.mode != REGRESSION:
         raise ValueError("density_check requires a regression dataset")
 
     ga_rmse = []
-    oracle_rmse = [] if include_oracle else None
-    for k in k_values:
+    oracle_rmse = [] if density.include_oracle else None
+    for k in density.k_values:
         spec = ExpansionSpec(input_dim=dataset.n_features, order=k)
         shape = ModelShape(spec=spec, n_units=n_units, mode=REGRESSION)
         # min-over-seeds RMSE == max-over-seeds fitness (fitness is -MSE)
         best_fitness = max(
             train(shape, dataset, ga_config, seed).best_fitness_value
-            for seed in seeds
+            for seed in density.seeds
         )
         ga_rmse.append(float(np.sqrt(max(0.0, -best_fitness))))
-        if include_oracle:
+        if density.include_oracle:
             oracle_rmse.append(least_squares_oracle(dataset, spec).rmse)
 
     return DensityReport(
-        k_values=k_values,
+        k_values=list(density.k_values),
         ga_rmse=ga_rmse,
         oracle_rmse=oracle_rmse,
-        seeds=seeds,
-        slack=slack,
-        non_increasing=_non_increasing(ga_rmse, slack),
+        seeds=list(density.seeds),
+        slack=density.slack,
+        non_increasing=_non_increasing(ga_rmse, density.slack),
     )

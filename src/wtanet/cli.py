@@ -111,9 +111,9 @@ def _read_config(args) -> RunConfig:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = RunConfig.from_dict(json.load(fh))
+        return config if args.seed is None else replace(config, seed=args.seed)
     except ValueError as exc:
         raise PhaseError("config", exc) from exc
-    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _cmd_train(args) -> int:
@@ -244,13 +244,7 @@ def _cmd_density(args) -> int:
     if density is None:
         raise PhaseError("config", "config is missing the 'density' section")
     report = bench.density_check(
-        bench.load_dataset(config),
-        density.k_values,
-        config.model.units,
-        config.ga,
-        density.seeds,
-        slack=density.slack,
-        include_oracle=density.include_oracle,
+        bench.load_dataset(config), density, config.model.units, config.ga
     )
     out_dir = args.out_dir if args.out_dir is not None else config.output.dir
     os.makedirs(out_dir, exist_ok=True)

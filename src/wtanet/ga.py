@@ -10,18 +10,20 @@ sigma.
 A training run is a pure function of (shape, dataset, config, seed);
 the seed is an argument of :func:`train`, not a field of the config.
 Random draws come from a single seeded PCG64 generator in a fixed,
-member-major order: for each offspring slot, the two tournaments, the
-crossover coin, the BLX uniforms (only when crossover fires), the
-per-gene mutation coins, and finally one standard normal per mutated
-gene in ascending gene order.  Fitness evaluation consumes no
-randomness.
+generation-major order.  With C offspring slots and G genes, each
+generation makes five draws: the contestants of every child's two
+tournaments as one (C, 2, tournament_size) integer array, C crossover
+coins, a (C, G) array of mutation coins, a (C, G) array of BLX uniforms
+(drawn for every child, used only where crossover fires), and one
+standard normal per mutated gene in row-major order.  Fitness
+evaluation consumes no randomness.
 
-A generation only draws member by member; tournaments, crossover and
-mutation then run as whole-array operations.  Fitness is scored in
-population blocks, and a chromosome whose fitness is already known (an
-elite, or an unmutated child equal to a parent) is not scored again.
-Reruns are bit-identical; byte identity with older versions is not
-promised, because the block product may round differently.
+Tournaments, crossover and mutation run as whole-array operations.
+Fitness is scored in population blocks, and a chromosome whose fitness
+is already known (an elite, or an unmutated child equal to a parent) is
+not scored again.  Reruns are bit-identical; byte identity with older
+versions is not promised: the draw order changed from member-major to
+generation-major, and the block product may round differently.
 """
 
 from __future__ import annotations
@@ -283,38 +285,31 @@ def _next_population(population: np.ndarray, fits: np.ndarray,
                      sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """The next generation and the fitness already known for each slot.
 
-    The loop only draws, member by member in the order of the stream
-    contract; selection, crossover and mutation then run on whole
-    arrays.  A slot's fitness is known when it holds an elite, or a
-    child with no mutated gene that equals a parent: a clone of the
-    better parent, or the blend of two equal parents.  Every other
-    slot reads NaN (a fitness is never NaN) and must be scored.
+    A generation makes five whole-array draws, in the order of the
+    stream contract: every child's two tournaments, the crossover
+    coins, the mutation coins, the BLX uniforms (drawn for every child,
+    used for the crossed ones) and one standard normal per mutated gene
+    in row-major order.  A slot's fitness is known when it holds an
+    elite, or a child with no mutated gene that equals a parent: a
+    clone of the better parent, or the blend of two equal parents.
+    Every other slot reads NaN (a fitness is never NaN) and must be
+    scored.
     """
     size, n_genes = population.shape
     elites = config.elitism_count
     n_children = config.population_size - elites
     rate = config.resolved_mutation_rate(n_genes)
-    contestants, crossed, normals = [], [], []
-    blend = np.empty((n_children, n_genes))
-    coins = np.empty((n_children, n_genes))
-    for k in range(n_children):
-        # one call draws both tournaments: the same stream as two calls
-        contestants.append(
-            rng.integers(0, size, 2 * config.tournament_size, np.int64)
-        )
-        crossed.append(rng.random() < config.crossover_rate)
-        if crossed[k]:
-            rng.random(out=blend[k])
-        rng.random(out=coins[k])
-        n_mut = np.count_nonzero(coins[k] < rate)
-        if n_mut:
-            normals.append(rng.standard_normal(n_mut))
+    contestants = rng.integers(
+        0, size, (n_children, 2, config.tournament_size), np.int64
+    )
+    crossed = rng.random(n_children) < config.crossover_rate
+    mutated = rng.random((n_children, n_genes)) < rate
+    blend = rng.random((n_children, n_genes))
+    normals = rng.standard_normal(np.count_nonzero(mutated))
 
     # each tournament goes to its first contestant of highest fitness
-    contestants = np.reshape(contestants, (n_children, 2, config.tournament_size))
     picks = np.argmax(fits[contestants], axis=2)[..., np.newaxis]
     p1, p2 = np.take_along_axis(contestants, picks, axis=2)[..., 0].T
-    crossed = np.array(crossed, dtype=bool)
     better = np.where(fits[p1] >= fits[p2], p1, p2)
     children = population[better]
     g1, g2 = population[p1[crossed]], population[p2[crossed]]
@@ -324,9 +319,7 @@ def _next_population(population: np.ndarray, fits: np.ndarray,
         lo - config.blx_alpha * span
         + blend[crossed] * (1.0 + 2.0 * config.blx_alpha) * span
     )
-    mutated = coins < rate
-    if normals:
-        children[mutated] += sigma * np.concatenate(normals)
+    children[mutated] += sigma * normals
 
     order = _ranked_indices(fits)
     known = np.full(size, np.nan)
@@ -335,28 +328,6 @@ def _next_population(population: np.ndarray, fits: np.ndarray,
     same = ~mutated.any(axis=1) & (children == population[parent]).all(axis=1)
     known[elites:][same] = fits[parent[same]]
     return np.concatenate([population[order[:elites]], children]), known
-
-
-def evolve_generation(population, evaluator, config: GaConfig,
-                      rng: np.random.Generator, *,
-                      sigma: float | None = None) -> np.ndarray:
-    """Produce the next generation from the current one.
-
-    ``evaluator`` is any callable mapping a ``(P, n_genes)`` population
-    to its ``P`` fitnesses (typically a :class:`FitnessEvaluator`).
-    ``sigma`` is the current mutation scale; it defaults to the
-    configured initial value.
-    """
-    population = np.asarray(population, dtype=np.float64)
-    if population.ndim != 2 or population.shape[0] != config.population_size:
-        raise ValueError(
-            f"population must have shape ({config.population_size}, n_genes), "
-            f"got {population.shape}"
-        )
-    if sigma is None:
-        sigma = config.mutation_sigma_initial
-    fits = np.asarray(evaluator(population), dtype=np.float64)
-    return _next_population(population, fits, config, rng, sigma)[0]
 
 
 @dataclass

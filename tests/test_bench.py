@@ -6,6 +6,7 @@ import pytest
 
 from wtanet import (
     Dataset,
+    Density,
     ExpansionSpec,
     GaConfig,
     PhaseError,
@@ -218,8 +219,8 @@ class TestDensityCheck:
     def test_oracle_sequence_exactly_non_increasing(self):
         ds = gen_function("f1", 120, seed=6)
         report = density_check(
-            ds, [0, 1, 2], 1,
-            GaConfig(population_size=6, generations=2), seeds=[0, 1, 2],
+            ds, Density(k_values=(0, 1, 2), seeds=(0, 1, 2)), 1,
+            GaConfig(population_size=6, generations=2),
         )
         oracle = report.oracle_rmse
         # nested bases make the oracle sequence strictly drop here
@@ -232,9 +233,8 @@ class TestDensityCheck:
         # full-run check: a richer basis never hurts the best-of-seeds fit
         ds = gen_function("f1", 100, seed=5)
         report = density_check(
-            ds, [1, 2, 4], 4,
+            ds, Density(k_values=(1, 2, 4), seeds=(0, 1, 2, 3, 4)), 4,
             GaConfig(generations=300, fitness_stagnation_patience=100),
-            seeds=[0, 1, 2, 3, 4],
         )
         assert report.non_increasing
         assert all(
@@ -243,9 +243,7 @@ class TestDensityCheck:
         )
 
     def test_requires_increasing_orders_and_three_seeds(self):
-        ds = gen_function("f1", 50, seed=7)
-        config = GaConfig(population_size=6, generations=1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            density_check(ds, [2, 1], 1, config, seeds=[0, 1, 2])
+            Density(k_values=(2, 1), seeds=(0, 1, 2))
         with pytest.raises(ValueError, match="3 seeds"):
-            density_check(ds, [0, 1], 1, config, seeds=[0, 1])
+            Density(k_values=(0, 1), seeds=(0, 1))

@@ -129,6 +129,25 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:config: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, change, flags, message", [
+        ("train", {"seed": -2}, [], "seed must be non-negative, got -2"),
+        ("train", {}, ["--seed", "-5"], "seed must be non-negative, got -5"),
+        ("density", {"density": {"k_values": [0, 1], "seeds": [0, 1]}}, [],
+         "need at least 3 seeds, got 2"),
+        ("density", {"density": {"k_values": [1, 1], "seeds": [0, 1, 2]}}, [],
+         "k_values must be strictly increasing, got [1, 1]"),
+        ("density", {"density": {"k_values": [0, 1], "seeds": [0, -1, 2]}}, [],
+         "seeds must be non-negative, got [0, -1, 2]"),
+    ], ids=["seed-negative", "seed-flag-negative", "density-two-seeds",
+            "density-orders-repeat", "density-seed-negative"])
+    def test_invalid_value_rejected(self, tmp_path, capsys, command, change,
+                                    flags, message):
+        path = write_config(tmp_path, **change)
+        code, out, err = run_cli(capsys, *flags, command, str(path))
+        assert code == 1
+        assert err == f"error:config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 # a small valid f1 config, and what fuzzing may put into it
 FUZZ_BASE = {

@@ -10,13 +10,13 @@ from wtanet import (
     WtaModel,
     decode,
     encode,
-    evolve_generation,
     expand,
     expand_batch,
     gen_function,
     gen_noisy,
     train,
 )
+from wtanet.ga import _next_population
 from wtanet.model import apply_activation
 
 
@@ -54,31 +54,36 @@ def reference_fitness(dataset, shape, genes):
 
 
 def reference_next_population(population, fits, config, rng, sigma):
-    """Member-by-member offspring loop: the GA's random stream contract."""
-    def tournament():
-        contestants = rng.integers(0, fits.size, size=config.tournament_size)
-        return int(contestants[np.argmax(fits[contestants])])
+    """Generation-major draws, then a child-by-child loop: the GA's stream contract."""
+    size, n_genes = population.shape
+    elites = config.elitism_count
+    n_children = config.population_size - elites
+    rate = config.resolved_mutation_rate(n_genes)
+    contestants = rng.integers(
+        0, size, (n_children, 2, config.tournament_size), np.int64
+    )
+    crossover_coins = rng.random(n_children)
+    mutation_coins = rng.random((n_children, n_genes))
+    uniforms = rng.random((n_children, n_genes))
+    normals = iter(rng.standard_normal(int(np.sum(mutation_coins < rate))))
 
-    n_genes = population.shape[1]
     order = np.argsort(-fits, kind="stable")
     next_pop = np.empty_like(population)
-    next_pop[:config.elitism_count] = population[order[:config.elitism_count]]
-    for slot in range(config.elitism_count, config.population_size):
-        p1, p2 = tournament(), tournament()
-        if rng.random() < config.crossover_rate:
+    next_pop[:elites] = population[order[:elites]]
+    for k in range(n_children):
+        p1, p2 = (int(c[np.argmax(fits[c])]) for c in contestants[k])
+        if crossover_coins[k] < config.crossover_rate:
             g1, g2 = population[p1], population[p2]
             lo, hi = np.minimum(g1, g2), np.maximum(g1, g2)
             span = hi - lo
-            u = rng.random(n_genes)
             child = (lo - config.blx_alpha * span
-                     + u * (1.0 + 2.0 * config.blx_alpha) * span)
+                     + uniforms[k] * (1.0 + 2.0 * config.blx_alpha) * span)
         else:
             child = population[p1 if fits[p1] >= fits[p2] else p2].copy()
-        mask = rng.random(n_genes) < config.resolved_mutation_rate(n_genes)
-        n_mut = int(mask.sum())
-        if n_mut:
-            child[mask] += sigma * rng.standard_normal(n_mut)
-        next_pop[slot] = child
+        for g in range(n_genes):  # row-major: one normal per mutated gene
+            if mutation_coins[k, g] < rate:
+                child[g] += sigma * next(normals)
+        next_pop[elites + k] = child
     return next_pop
 
 
@@ -259,8 +264,8 @@ class TestEvolveGeneration:
         population = np.array([[0.0] * 8, [1.0] * 8])
         rng = np.random.default_rng(0)
         for _ in range(200):
-            children = evolve_generation(
-                population, lambda pop: np.zeros(len(pop)), config, rng
+            children, _ = _next_population(
+                population, np.zeros(2), config, rng, config.mutation_sigma_initial
             )
             assert np.all(children >= -0.5) and np.all(children <= 1.5)
 
@@ -271,11 +276,8 @@ class TestEvolveGeneration:
             population_size=6, crossover_rate=0.0, mutation_rate=0.5,
             mutation_sigma_initial=0.0, elitism_count=0,
         )
-        scores = {genes.tobytes(): float(i) for i, genes in enumerate(population)}
-        children = evolve_generation(
-            population,
-            lambda pop: np.array([scores[genes.tobytes()] for genes in pop]),
-            config, np.random.default_rng(1),
+        children, _ = _next_population(
+            population, np.arange(6.0), config, np.random.default_rng(1), 0.0
         )
         existing = {genes.tobytes() for genes in population}
         for child in children:
@@ -285,26 +287,27 @@ class TestEvolveGeneration:
         rng_pop = np.random.default_rng(5)
         population = rng_pop.uniform(-1, 1, size=(8, 6))
         config = GaConfig(population_size=8, elitism_count=2)
-        evaluator = lambda pop: -np.sum(pop ** 2, axis=1)
-        a = evolve_generation(population, evaluator, config, np.random.default_rng(7))
-        b = evolve_generation(population, evaluator, config, np.random.default_rng(7))
+        fits = -np.sum(population ** 2, axis=1)
+        sigma = config.mutation_sigma_initial
+        a, _ = _next_population(population, fits, config, np.random.default_rng(7), sigma)
+        b, _ = _next_population(population, fits, config, np.random.default_rng(7), sigma)
         assert a.tobytes() == b.tobytes()
 
     def test_elites_survive_unchanged(self):
         rng_pop = np.random.default_rng(6)
         population = rng_pop.uniform(-1, 1, size=(10, 4))
-        evaluator = lambda pop: -np.sum(pop ** 2, axis=1)
-        fits = evaluator(population)
+        fits = -np.sum(population ** 2, axis=1)
         best_two = population[np.argsort(-fits, kind="stable")[:2]]
         config = GaConfig(population_size=10, elitism_count=2)
-        children = evolve_generation(
-            population, evaluator, config, np.random.default_rng(8)
+        children, _ = _next_population(
+            population, fits, config, np.random.default_rng(8),
+            config.mutation_sigma_initial,
         )
         assert children[0].tobytes() == best_two[0].tobytes()
         assert children[1].tobytes() == best_two[1].tobytes()
 
     @pytest.mark.parametrize("crossover_rate", [0.0, 0.5, 1.0])
-    def test_matches_member_by_member_loop(self, crossover_rate):
+    def test_matches_generation_major_reference(self, crossover_rate):
         rng_pop = np.random.default_rng(9)
         population = rng_pop.uniform(-1, 1, size=(12, 7))
         # rounded fitness makes tournament and better-parent ties common
@@ -315,10 +318,9 @@ class TestEvolveGeneration:
         )
         for gen_seed in range(5):
             a, b = np.random.default_rng(gen_seed), np.random.default_rng(gen_seed)
-            got = evolve_generation(population, evaluator, config, a, sigma=0.2)
-            want = reference_next_population(
-                population, evaluator(population), config, b, 0.2
-            )
+            fits = evaluator(population)
+            got, _ = _next_population(population, fits, config, a, 0.2)
+            want = reference_next_population(population, fits, config, b, 0.2)
             assert got.tobytes() == want.tobytes()
             assert a.random() == b.random()  # the stream stays in step
             population = got
@@ -393,9 +395,9 @@ class TestTrain:
         ds = gen_noisy("f1", 0.1, 100, seed=0)
         shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=3), n_units=4)
         trace = train(shape, ds, GaConfig(), 0)
-        assert len(scored) == 11_117
+        assert len(scored) == 11_098
         assert len(set(scored)) == len(scored)
-        assert trace.best_fitness_value == -0.011155041395701315
+        assert trace.best_fitness_value == -0.015584593073989435
         assert np.all(np.diff(trace.best_fitness) >= 0)
 
     def test_empty_dataset_impossible_but_mode_mismatch_rejected(self):
