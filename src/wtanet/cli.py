@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,11 @@ from .model import load_model, predict
 from .select import kwta, solve_box_lp, solve_ksum_lp, solve_simplex_lp
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and shared by every later `main` call in the
+    # process: set-up takes most of a single-row predict, and parse_args
+    # leaves no state on the parser.
     parser = argparse.ArgumentParser(
         prog="wtanet",
         description="Winner-take-all network benchmarks and tools",
@@ -105,6 +110,16 @@ def _load_vector_instance(path) -> dict:
     if all(len(row) == 1 for row in values):
         return {"rows": values, "x": [row[0] for row in values]}
     return {"rows": values, "x": values[0]}
+
+
+def _instance_k(args, doc: dict) -> int:
+    """``--k``, else the instance's ``k``, which must be a JSON integer."""
+    k = args.k if args.k is not None else doc.get("k")
+    if k is None:
+        raise ValueError("k is required (use --k or put 'k' in the JSON instance)")
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {json.dumps(k)}")
+    return k
 
 
 def _read_config(args) -> RunConfig:
@@ -199,10 +214,7 @@ def _cmd_synth(args) -> int:
 def _cmd_kselect(args) -> int:
     doc = _load_vector_instance(args.instance)
     x = doc["x"]
-    k = args.k if args.k is not None else doc.get("k")
-    if k is None:
-        raise ValueError("k is required (use --k or put 'k' in the JSON instance)")
-    result = kwta(x, int(k))
+    result = kwta(x, _instance_k(args, doc))
     print(json.dumps(
         {"winners": list(result.winners), "values": list(result.values)}
     ))
@@ -215,10 +227,7 @@ def _cmd_lp(args) -> int:
     if args.form == "simplex":
         solution = solve_simplex_lp(c)
     elif args.form == "ksum":
-        k = args.k if args.k is not None else doc.get("k")
-        if k is None:
-            raise ValueError("ksum form requires k (use --k or the JSON field)")
-        solution = solve_ksum_lp(c, int(k))
+        solution = solve_ksum_lp(c, _instance_k(args, doc))
     else:
         rows = doc.get("rows")
         lower = doc.get("lower")

@@ -185,22 +185,40 @@ def model_from_dict(doc: dict) -> WtaModel:
     if not isinstance(doc, dict):
         raise ValueError("a model file must hold a JSON object")
     version = doc.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if isinstance(version, bool) or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version {version!r}")
-    spec = parse(ExpansionSpec, doc["spec"], "spec")
-    units = doc["units"]
-    excitatory = np.array([u["v"] for u in units], dtype=np.float64)
-    inhibitory = np.array([u["w"] for u in units], dtype=np.float64)
+    try:
+        spec = parse(ExpansionSpec, doc["spec"], "spec")
+        units, mode = doc["units"], doc["mode"]
+        output_activation = doc["output_activation"]
+    except KeyError as exc:
+        raise ValueError(f"model is missing key {exc.args[0]}") from None
+    if not isinstance(units, list):
+        raise ValueError(f"model units must be a list, got {type(units).__name__}")
     return WtaModel(
         spec,
-        excitatory,
-        inhibitory,
-        mode=doc["mode"],
-        output_activation=doc["output_activation"],
+        _unit_weights(units, "v"),
+        _unit_weights(units, "w"),
+        mode=mode,
+        output_activation=output_activation,
         class_of_unit=doc.get("class_of_unit"),
         class_names=doc.get("class_names"),
         normalization=doc.get("normalization") if version > 1 else None,
     )
+
+
+def _unit_weights(units: list, key: str) -> np.ndarray:
+    """(M, m) matrix of every unit's ``key`` weights."""
+    try:
+        return np.array([u[key] for u in units], dtype=np.float64)
+    except (KeyError, TypeError):
+        for j, u in enumerate(units):
+            if not isinstance(u, dict):
+                raise ValueError(f"model units[{j}] must be an object, "
+                                 f"got {type(u).__name__}") from None
+            if key not in u:
+                raise ValueError(f"model is missing key units[{j}].{key}") from None
+        raise ValueError(f"model units[*].{key} must be lists of numbers") from None
 
 
 def save_model(model: WtaModel, path) -> None:
@@ -212,4 +230,8 @@ def save_model(model: WtaModel, path) -> None:
 
 def load_model(path) -> WtaModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
+    return model_from_dict(doc)

@@ -16,12 +16,16 @@ parses ``doc``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 import types
 import typing
 
 _TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
+
+# get_type_hints compiles every string annotation again on each call.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _describe(value) -> str:
@@ -47,7 +51,7 @@ def parse(cls, doc, where: str = ""):
         raise ValueError(f"{where or 'config'} must be an object, got {_describe(doc)}")
     if not dataclasses.is_dataclass(cls):
         cls = cls.section_class(doc, where)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
     unknown = sorted(set(doc) - set(fields))
     if unknown:

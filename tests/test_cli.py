@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wtanet import ExpansionSpec, WtaModel, load_model, mae, predict, rmse, save_model
+from wtanet import (
+    ExpansionSpec,
+    WtaModel,
+    load_model,
+    mae,
+    model_to_dict,
+    predict,
+    rmse,
+    save_model,
+)
+from wtanet import cli
 from wtanet.cli import main
 
 
@@ -273,6 +283,17 @@ class TestSelectCommands:
         assert code == 1
         assert err.startswith("error:data:")
 
+    @pytest.mark.parametrize("k", [1.7, 2.0, True, "2"],
+                             ids=["fraction", "float", "bool", "string"])
+    @pytest.mark.parametrize("command", [["kselect"], ["lp", "--form", "ksum"]],
+                             ids=["kselect", "lp-ksum"])
+    def test_non_integer_k_fails(self, tmp_path, capsys, command, k):
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps({"x": [3, 1, 2], "k": k}))
+        code, out, err = run_cli(capsys, command[0], str(instance), *command[1:])
+        assert code == 1 and out == ""
+        assert err == f"error:data: k must be an int, got {json.dumps(k)}\n"
+
     def test_lp_simplex(self, tmp_path, capsys):
         instance = tmp_path / "c.csv"
         instance.write_text("0.1,0.7,0.2\n")
@@ -459,14 +480,79 @@ class TestNonFiniteOutputs:
         assert not output.exists()
 
 
+def model_file_text(*drop, **changes):
+    """A valid one-unit model file, less the keys ``drop``, with ``changes``."""
+    doc = model_to_dict(WtaModel(
+        ExpansionSpec(input_dim=1, order=0), [[1.0, 0.0]], [[0.5, 0.0]],
+        normalization=[[0.0, 1.0]],
+    ))
+    doc.update(changes)
+    for key in drop:
+        del doc[key]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
-@pytest.mark.parametrize("doc", [[1, 2], "model"], ids=["list", "string"])
-def test_model_file_not_an_object_fails_with_one_error_line(tmp_path, capsys, command, doc):
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a model file must hold a JSON object"),
+    ('"model"', "a model file must hold a JSON object"),
+    ('{"format_version": 2, "mode": "regression"',
+     "model file {path} is not valid JSON: Expecting ',' delimiter: "
+     "line 1 column 43 (char 42)"),
+    (model_file_text("units"), "model is missing key units"),
+    (model_file_text("mode"), "model is missing key mode"),
+    (model_file_text("spec"), "model is missing key spec"),
+    (model_file_text("output_activation"), "model is missing key output_activation"),
+    (model_file_text(units=[{"w": [0.5, 0.0]}]), "model is missing key units[0].v"),
+    (model_file_text(units=[{"v": [1.0, 0.0]}]), "model is missing key units[0].w"),
+    (model_file_text(units=5), "model units must be a list, got int"),
+    (model_file_text(units=[5]), "model units[0] must be an object, got int"),
+    (model_file_text(units=[{"v": {"a": 1}, "w": [0.5, 0.0]}]),
+     "model units[*].v must be lists of numbers"),
+    (model_file_text(format_version=True), "unsupported model format_version True"),
+], ids=["list", "string", "truncated", "no-units", "no-mode", "no-spec",
+        "no-output-activation", "unit-no-v", "unit-no-w", "units-number",
+        "unit-number", "v-object", "version-bool"])
+def test_model_file_not_an_object_fails_with_one_error_line(
+        tmp_path, capsys, command, text, message):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(text)
     data = tmp_path / "data.csv"
     data.write_text("0.5,1.0\n")
     extra = ["-o", str(tmp_path / "pred.csv")] if command == "predict" else []
     code, _, err = run_cli(capsys, command, str(model), str(data), *extra)
     assert code == 1
-    assert err == "error:data: a model file must hold a JSON object\n"
+    assert err == f"error:data: {message.format(path=model)}\n"
+
+
+def test_repeated_main_calls_share_one_parser_and_keep_no_state(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(WtaModel(
+        ExpansionSpec(input_dim=1, order=1), [[1.0, 0.0, 0.0, 0.0]],
+        [[0.5, 0.0, 0.0, 0.0]], normalization=[[0.0, 1.0]],
+    ), model)
+    two = tmp_path / "two.csv"
+    two.write_text("0.25,9\n0.75,9\n")
+    one = tmp_path / "one.csv"
+    one.write_text("0.25\n0.75\n")
+    dropped, kept = tmp_path / "dropped.csv", tmp_path / "kept.csv"
+
+    code, out, err = run_cli(capsys, "--quiet", "--seed", "5", "predict", str(model),
+                             str(two), "--target-column", "1", "-o", str(dropped))
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run_cli(capsys, "predict", str(model), str(one), "-o", str(kept))
+    assert (code, out, err) == (0, f"wrote 2 predictions to {kept}\n", "")
+    assert read_cells(kept) == read_cells(dropped)
+    assert [len(row) for row in read_cells(kept)] == [2, 2]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", str(model)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: wtanet")
+
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps({"x": [3, 1, 2], "k": 2}))
+    code, out, err = run_cli(capsys, "kselect", str(instance))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["winners"] == [0, 2]
+    assert cli._build_parser() is cli._build_parser()
