@@ -3,9 +3,9 @@
 Subcommands: train, eval, predict, synth, kselect, lp, density.  Global
 flags: --seed (overrides the config/run seed), --out-dir, --quiet.
 Failures exit nonzero after printing one machine-parsable line of the
-form ``error:<category>: <message>`` on stderr; categories are io,
-config, data and internal (plus the experiment phase names train,
-split, evaluate, write).
+form ``error:<category>: <message>`` on stderr; categories are io, config
+(the run config), data (a data CSV, model or instance file, or a value a
+computation rejects) and the phase names train, split, evaluate, write.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, make_dataclass, replace
 
 from . import bench, data as datamod
 from .bench import PhaseError, RunConfig, config_digest, run_experiment
@@ -26,12 +26,14 @@ from .data import (
     gen_mackey_glass,
     gen_noisy,
     load_csv,
+    _parse_features,
     load_features,
     read_csv_matrix,
     series_to_csv,
     dataset_to_csv,
 )
 from .model import load_model, predict
+from .schema import parse, read_json
 from .select import kwta, solve_box_lp, solve_ksum_lp, solve_simplex_lp
 
 
@@ -81,12 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-header", action="store_true")
 
     p = sub.add_parser("kselect", help="k-winners-take-all on an instance file")
-    p.add_argument("instance", help="CSV (one row or column) or JSON {'x', 'k'?}")
+    p.add_argument("instance", help="CSV (one row or column) or JSON {'x', 'k'}")
     p.add_argument("--k", type=int, default=None)
 
     p = sub.add_parser("lp", help="solve a WTA-reducible linear program")
-    p.add_argument("instance",
-                   help="CSV or JSON {'c', 'lower'?, 'upper'?, 'k'?}")
+    p.add_argument("instance", help="CSV (one row or column; box: rows c, lower, "
+                   "upper) or JSON {'c', 'k' (ksum), 'lower', 'upper' (box)}")
     p.add_argument("--form", choices=["simplex", "box", "ksum"], required=True)
     p.add_argument("--k", type=int, default=None)
 
@@ -96,36 +98,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_vector_instance(path) -> dict:
-    if str(path).endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if isinstance(doc, list):
-            return {"x": doc}
-        return doc
-    rows = read_csv_matrix(path)
-    values = [[float(cell) for cell in row] for row in rows]
-    if len(values) == 1:
-        return {"rows": values, "x": values[0]}
-    if all(len(row) == 1 for row in values):
-        return {"rows": values, "x": [row[0] for row in values]}
-    return {"rows": values, "x": values[0]}
+_VECTOR = tuple[float, ...]
+# the keys of each instance file: its solver's arguments
+_INSTANCES = {
+    "kselect": make_dataclass("KselectInstance", [("x", _VECTOR), ("k", int)]),
+    "simplex": make_dataclass("SimplexInstance", [("c", _VECTOR)]),
+    "ksum": make_dataclass("KsumInstance", [("c", _VECTOR), ("k", int)]),
+    "box": make_dataclass("BoxInstance", [("c", _VECTOR), ("lower", _VECTOR),
+                                          ("upper", _VECTOR)]),
+}
 
 
-def _instance_k(args, doc: dict) -> int:
-    """``--k``, else the instance's ``k``, which must be a JSON integer."""
-    k = args.k if args.k is not None else doc.get("k")
-    if k is None:
-        raise ValueError("k is required (use --k or put 'k' in the JSON instance)")
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {json.dumps(k)}")
-    return k
+def _read_instance(name, path, k) -> dict:
+    """The solver arguments in the ``name`` instance file ``path``; ``k`` overrides.
+
+    A JSON list, or a CSV file's one row or column, is the first vector;
+    a box CSV file holds the rows c, lower and upper.
+    """
+    cls = _INSTANCES[name]
+    vectors = [f.name for f in fields(cls) if f.name != "k"]
+    if path.endswith(".json"):
+        doc = read_json(path, "instance file")
+        doc = {vectors[0]: doc} if isinstance(doc, list) else doc
+    else:
+        raw = _parse_features(read_csv_matrix(path), None)[1]
+        raw = raw.T if len(vectors) == 1 and raw.shape[1] == 1 else raw
+        if len(raw) != len(vectors):
+            shape = "one row or column" if len(vectors) == 1 else f"{len(vectors)} rows"
+            raise ValueError(f"instance file {path} must hold {shape} "
+                             f"({', '.join(vectors)}), got {len(raw)} rows")
+        doc = dict(zip(vectors, raw.tolist()))
+    if k is not None and "k" in cls.__dataclass_fields__ and isinstance(doc, dict):
+        doc = {**doc, "k": k}
+    return vars(parse(cls, doc))
 
 
 def _read_config(args) -> RunConfig:
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = RunConfig.from_dict(json.load(fh))
+        config = RunConfig.from_dict(read_json(args.config, "config file"))
         return config if args.seed is None else replace(config, seed=args.seed)
     except ValueError as exc:
         raise PhaseError("config", exc) from exc
@@ -212,9 +222,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_kselect(args) -> int:
-    doc = _load_vector_instance(args.instance)
-    x = doc["x"]
-    result = kwta(x, _instance_k(args, doc))
+    result = kwta(**_read_instance("kselect", args.instance, args.k))
     print(json.dumps(
         {"winners": list(result.winners), "values": list(result.values)}
     ))
@@ -222,23 +230,8 @@ def _cmd_kselect(args) -> int:
 
 
 def _cmd_lp(args) -> int:
-    doc = _load_vector_instance(args.instance)
-    c = doc.get("c", doc.get("x"))
-    if args.form == "simplex":
-        solution = solve_simplex_lp(c)
-    elif args.form == "ksum":
-        solution = solve_ksum_lp(c, _instance_k(args, doc))
-    else:
-        rows = doc.get("rows")
-        lower = doc.get("lower")
-        upper = doc.get("upper")
-        if lower is None and rows is not None and len(rows) >= 3:
-            c, lower, upper = rows[0], rows[1], rows[2]
-        if lower is None or upper is None:
-            raise ValueError(
-                "box form needs c, lower, upper (JSON fields or three CSV rows)"
-            )
-        solution = solve_box_lp(c, lower, upper)
+    solve = {"simplex": solve_simplex_lp, "ksum": solve_ksum_lp, "box": solve_box_lp}
+    solution = solve[args.form](**_read_instance(args.form, args.instance, args.k))
     print(json.dumps({
         "x": [float(v) for v in solution.x],
         "objective": solution.objective,
@@ -291,10 +284,6 @@ def main(argv=None) -> int:
         return _fail(exc.phase, exc.message)
     except OSError as exc:
         return _fail("io", str(exc))
-    except json.JSONDecodeError as exc:
-        return _fail("config", str(exc))
-    except (KeyError, TypeError) as exc:
-        return _fail("config", f"bad config or instance: {exc}")
     except ValueError as exc:
         return _fail("data", str(exc))
 

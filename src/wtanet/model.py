@@ -12,21 +12,20 @@ the output (regression) or selects the unit's class label
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from typing import Literal
 
 import numpy as np
 
+from .data import CLASSIFICATION, REGRESSION
 from .expansion import ExpansionSpec, expand_batch, expansion_dim
-from .schema import parse
+from .schema import parse, read_json
 
 MODEL_FORMAT_VERSION = 2
 
 IDENTITY = "identity"
 LOGISTIC = "logistic"
 _ACTIVATIONS = (IDENTITY, LOGISTIC)
-
-REGRESSION = "regression"
-CLASSIFICATION = "classification"
 
 
 def logistic(x) -> np.ndarray:
@@ -98,6 +97,10 @@ class WtaModel:
                     f"class_of_unit length {len(class_of_unit)} does not match "
                     f"{excitatory.shape[0]} units"
                 )
+            if min(class_of_unit) < 0 or (class_names is not None
+                                          and max(class_of_unit) >= len(class_names)):
+                raise ValueError("class_of_unit labels must be non-negative and index "
+                                 f"class_names, got {list(class_of_unit)}")
         elif class_of_unit is not None:
             raise ValueError("class_of_unit is meaningful in classification mode only")
         if normalization is not None:
@@ -180,45 +183,46 @@ def model_to_dict(model: WtaModel) -> dict:
     return doc
 
 
-def model_from_dict(doc: dict) -> WtaModel:
-    """Model from its JSON document; version 1 carries no normalization."""
-    if not isinstance(doc, dict):
-        raise ValueError("a model file must hold a JSON object")
-    version = doc.get("format_version")
-    if isinstance(version, bool) or version not in (1, MODEL_FORMAT_VERSION):
-        raise ValueError(f"unsupported model format_version {version!r}")
-    try:
-        spec = parse(ExpansionSpec, doc["spec"], "spec")
-        units, mode = doc["units"], doc["mode"]
-        output_activation = doc["output_activation"]
-    except KeyError as exc:
-        raise ValueError(f"model is missing key {exc.args[0]}") from None
-    if not isinstance(units, list):
-        raise ValueError(f"model units must be a list, got {type(units).__name__}")
-    return WtaModel(
-        spec,
-        _unit_weights(units, "v"),
-        _unit_weights(units, "w"),
-        mode=mode,
-        output_activation=output_activation,
-        class_of_unit=doc.get("class_of_unit"),
-        class_names=doc.get("class_names"),
-        normalization=doc.get("normalization") if version > 1 else None,
-    )
+@dataclass(frozen=True)
+class UnitWeights:
+    v: list  # checked by _unit_weights
+    w: list
 
 
-def _unit_weights(units: list, key: str) -> np.ndarray:
-    """(M, m) matrix of every unit's ``key`` weights."""
+@dataclass(frozen=True)
+class ModelFile:
+    """A model file's keys, parsed strictly; version 1 has no normalization."""
+
+    format_version: Literal[1, 2]
+    spec: ExpansionSpec
+    mode: Literal["regression", "classification"]
+    output_activation: Literal["identity", "logistic"]
+    units: tuple[UnitWeights, ...]
+    normalization: tuple[tuple[float, float], ...] | None = None
+    class_of_unit: tuple[int, ...] | None = None
+    class_names: tuple[str, ...] | None = None
+
+
+def model_from_dict(doc) -> WtaModel:
+    """Model from its JSON document."""
+    model = parse(ModelFile, doc, "model")
+    return WtaModel(model.spec, _unit_weights(model.units, "v"), _unit_weights(model.units, "w"),
+                    mode=model.mode, output_activation=model.output_activation,
+                    class_of_unit=model.class_of_unit, class_names=model.class_names,
+                    normalization=model.normalization)
+
+
+def _unit_weights(units: tuple[UnitWeights, ...], key: str) -> np.ndarray:
+    """(M, m) matrix of every unit's ``key`` weights, in one numpy conversion."""
+    rows = [getattr(unit, key) for unit in units]
+    for j, row in enumerate(rows):
+        if not set(map(type, row)) <= {int, float}:
+            raise ValueError(f"model.units[{j}].{key} must hold numbers only")
     try:
-        return np.array([u[key] for u in units], dtype=np.float64)
-    except (KeyError, TypeError):
-        for j, u in enumerate(units):
-            if not isinstance(u, dict):
-                raise ValueError(f"model units[{j}] must be an object, "
-                                 f"got {type(u).__name__}") from None
-            if key not in u:
-                raise ValueError(f"model is missing key units[{j}].{key}") from None
-        raise ValueError(f"model units[*].{key} must be lists of numbers") from None
+        return np.array(rows, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged, or an int beyond float range
+        raise ValueError(f"model.units[*].{key} must be equally long lists of "
+                         "finite numbers") from None
 
 
 def save_model(model: WtaModel, path) -> None:
@@ -229,9 +233,4 @@ def save_model(model: WtaModel, path) -> None:
 
 
 def load_model(path) -> WtaModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model file"))

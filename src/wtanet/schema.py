@@ -4,13 +4,14 @@ A section's dataclass fields are its schema: each field is a key, its
 annotation the JSON type and its default, if any, makes the key
 optional.  Unknown keys, missing keys and values of the wrong JSON type
 are errors.  An int is accepted where a float is expected, but a bool is
-not an int, ``2.7`` is not an int and ``"false"`` is not a bool.
+not an int, ``2.7`` is not an int and ``"false"`` is not a bool.  Bad
+values are reported first, then unknown keys, then missing keys.
 
-Supported annotations: ``int``, ``float``, ``bool``, ``str``,
-``Literal[...]``, ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]`` and
-nested dataclasses.  A class that is not a dataclass but has a
-``section_class(doc, where)`` static method picks the dataclass that
-parses ``doc``.
+Supported annotations: ``int``, ``float``, ``bool``, ``str``, ``list``
+(any JSON list, passed on unchecked), ``Literal[...]``, ``X | None``,
+``tuple[X, ...]``, ``tuple[X, Y]`` and nested dataclasses.  A class
+that is not a dataclass but has a ``section_class(doc, where)`` static
+method picks the dataclass that parses ``doc``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 import types
 import typing
 
-_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string"}
+_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string",
+               list: "a list"}
 
 # get_type_hints compiles every string annotation again on each call.
 _type_hints = functools.cache(typing.get_type_hints)
@@ -40,6 +42,15 @@ def _key(where: str, name: str) -> str:
     return f"{where}.{name}" if where else name
 
 
+def read_json(path, what: str):
+    """The JSON document in the file ``path``; ``what`` names it in errors."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def parse(cls, doc, where: str = ""):
     """Build ``cls`` from the JSON object ``doc``, strictly.
 
@@ -48,24 +59,33 @@ def parse(cls, doc, where: str = ""):
     offending key.
     """
     if not isinstance(doc, dict):
-        raise ValueError(f"{where or 'config'} must be an object, got {_describe(doc)}")
+        raise ValueError(f"{where or 'the top level'} must be an object, got {_describe(doc)}")
     if not dataclasses.is_dataclass(cls):
         cls = cls.section_class(doc, where)
     hints = _type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    kwargs = {name: _value(hints[name], doc[name], _key(where, name))
+              for name in fields if name in doc}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ValueError(f"unknown key {_key(where, unknown[0])}")
-    kwargs = {}
     for name, f in fields.items():
-        if name in doc:
-            kwargs[name] = _value(hints[name], doc[name], _key(where, name))
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        if name not in doc and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
             raise ValueError(f"missing key {_key(where, name)}")
     return cls(**kwargs)
 
 
 def _value(tp, value, where: str):
+    if tp in _TYPE_NAMES:
+        if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and abs(value) <= sys.float_info.max:
+            return float(value)
+        if tp is int and isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if tp in (bool, str, list) and isinstance(value, tp):
+            return value
+        raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {_describe(value)}")
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -87,13 +107,4 @@ def _value(tp, value, where: str):
                              f"got {len(value)}")
         return tuple(_value(t, v, f"{where}[{i}]")
                      for i, (t, v) in enumerate(zip(args, value)))
-    if isinstance(tp, type) and tp not in _TYPE_NAMES:
-        return parse(tp, value, where)
-    if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and abs(value) <= sys.float_info.max:
-        return float(value)
-    if tp is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if tp in (bool, str) and isinstance(value, tp):
-        return value
-    raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {_describe(value)}")
+    return parse(tp, value, where)

@@ -186,21 +186,31 @@ FUZZ_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, data):
-    doc = copy.deepcopy(FUZZ_BASE)
+def mutate(data, doc, keys, values):
+    """Retype, delete or add one to three keys of ``doc`` or of an object in it."""
     for _ in range(data.draw(st.integers(1, 3))):
-        objects = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+        objects = [doc] + [o for v in doc.values()
+                           for o in (v if isinstance(v, list) else [v])
+                           if isinstance(o, dict)]
         target = data.draw(st.sampled_from(objects))
         action = data.draw(st.sampled_from(["retype", "retype", "delete", "add"]))
         if action == "add" or not target:
-            target[data.draw(st.sampled_from(FUZZ_KEYS))] = data.draw(FUZZ_VALUES)
+            target[data.draw(st.sampled_from(keys))] = data.draw(values)
         elif action == "delete":
             del target[data.draw(st.sampled_from(sorted(target)))]
         else:
-            target[data.draw(st.sampled_from(sorted(target)))] = data.draw(FUZZ_VALUES)
+            target[data.draw(st.sampled_from(sorted(target)))] = data.draw(values)
+
+
+FUZZ_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, data):
+    doc = copy.deepcopy(FUZZ_BASE)
+    mutate(data, doc, FUZZ_KEYS, FUZZ_VALUES)
     work = tempfile.mkdtemp(dir=tmp_path)
     path = f"{work}/config.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -209,6 +219,68 @@ def test_fuzzed_config_runs_or_fails_with_one_error_line(tmp_path, capsys, data)
     if code != 0:
         assert code == 1
         assert re.fullmatch(r"error:[a-z]+: [^\n]*\n", err), err
+
+
+# model and instance files may also hold lists of any JSON scalar, and
+# an int no float can hold
+FILE_FUZZ_VALUES = st.one_of(
+    FUZZ_VALUES, st.just(10 ** 400),
+    st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                       st.text(max_size=2)), max_size=4),
+    st.lists(st.lists(st.floats(-3, 3), min_size=1, max_size=3), max_size=3),
+)
+FUZZ_MODEL = model_to_dict(WtaModel(
+    ExpansionSpec(input_dim=1, order=1),
+    [[1.0, 0.5, -0.5, 0.0], [-1.0, 0.2, 0.1, 0.3]], np.zeros((2, 4)),
+    mode="classification", class_of_unit=[0, 1], class_names=["a", "b"],
+    normalization=[[0.0, 1.0]],
+))
+FUZZ_MODEL_KEYS = sorted(set(FUZZ_MODEL) | set(FUZZ_MODEL["spec"]) | {"v", "w", "bogus"})
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_model_file_serves_or_fails_with_one_error_line(tmp_path, capsys, data):
+    doc = copy.deepcopy(FUZZ_MODEL)
+    mutate(data, doc, FUZZ_MODEL_KEYS, FILE_FUZZ_VALUES)
+    work = tempfile.mkdtemp(dir=tmp_path)
+    with open(f"{work}/model.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with open(f"{work}/data.csv", "w", encoding="utf-8") as fh:
+        fh.write("0.2,a\n0.7,b\n")
+    command = data.draw(st.sampled_from([
+        ["eval"], ["predict", "--target-column", "-1", "-o", f"{work}/pred.csv"]]))
+    code, _, err = run_cli(capsys, command[0], f"{work}/model.json",
+                           f"{work}/data.csv", *command[1:])
+    # a version-1 model that loads warns first
+    error = r"error:data: [^\n]*\n" if code else ""
+    assert code in (0, 1)
+    assert re.fullmatch(rf"(warning:[^\n]*\n)?{error}", err), err
+
+
+FUZZ_INSTANCES = {
+    ("kselect",): {"x": [3, 1, 2], "k": 2},
+    ("lp", "--form", "simplex"): {"c": [3, 1, 2]},
+    ("lp", "--form", "ksum"): {"c": [3, 1, 2], "k": 2},
+    ("lp", "--form", "box"): {"c": [1, -2], "lower": [0, 0], "upper": [3, 5]},
+}
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_instance_runs_or_fails_with_one_error_line(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_INSTANCES)))
+    doc = copy.deepcopy(FUZZ_INSTANCES[command])
+    mutate(data, doc, ["bogus", "c", "k", "lower", "upper", "x"], FILE_FUZZ_VALUES)
+    if data.draw(st.integers(0, 9)) == 0:
+        doc = data.draw(FILE_FUZZ_VALUES)
+    flags = data.draw(st.sampled_from([[], ["--k", "0"], ["--k", "1"], ["--k", "3"]]))
+    path = f"{tempfile.mkdtemp(dir=tmp_path)}/instance.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, _, err = run_cli(capsys, command[0], path, *command[1:], *flags)
+    assert (code, err) == (0, "") or (
+        code == 1 and re.fullmatch(r"error:data: [^\n]*\n", err)), err
 
 
 class TestSynthEvalPredict:
@@ -293,6 +365,39 @@ class TestSelectCommands:
         code, out, err = run_cli(capsys, command[0], str(instance), *command[1:])
         assert code == 1 and out == ""
         assert err == f"error:data: k must be an int, got {json.dumps(k)}\n"
+
+    @pytest.mark.parametrize("command, name, text, message", [
+        (["kselect"], "inst.json", '{"k": 2}', "missing key x"),
+        (["kselect"], "inst.json", "5", "the top level must be an object, got 5"),
+        (["kselect"], "inst.json", '{"x": [1, "2", 3], "k": 1}',
+         'x[1] must be a finite number, got "2"'),
+        (["kselect"], "inst.json", '{"x": [true, 2], "k": 1}',
+         "x[0] must be a finite number, got true"),
+        (["kselect"], "inst.json", '{"x": [1, 2], "k": 1, "kk": 2}', "unknown key kk"),
+        (["kselect"], "inst.json", '{"x": [1, 2]',
+         "instance file {path} is not valid JSON: Expecting ',' delimiter: "
+         "line 1 column 13 (char 12)"),
+        (["kselect", "--k", "1"], "inst.csv", "1,2\n3,4\n",
+         "instance file {path} must hold one row or column (x), got 2 rows"),
+        (["kselect", "--k", "1"], "inst.csv", "1,a,3\n",
+         "unparseable cell at row 1, column 2: 'a'"),
+        (["lp", "--form", "ksum"], "inst.json", '{"x": [1, 2], "k": 1}', "unknown key x"),
+        (["lp", "--form", "simplex"], "inst.json", '{"c": [1, 2], "k": 1}',
+         "unknown key k"),
+        (["lp", "--form", "box"], "inst.json", '{"c": [1, 2], "lower": [0, 0]}',
+         "missing key upper"),
+        (["lp", "--form", "box"], "inst.csv", "1,-2\n0,0\n",
+         "instance file {path} must hold 3 rows (c, lower, upper), got 2 rows"),
+    ], ids=["no-x", "number", "x-string", "x-bool", "unknown-key", "truncated",
+            "csv-square", "csv-cell", "lp-x-alias", "simplex-k", "box-no-upper",
+            "box-csv-two-rows"])
+    def test_malformed_instance_fails_with_one_error_line(
+            self, tmp_path, capsys, command, name, text, message):
+        instance = tmp_path / name
+        instance.write_text(text)
+        code, out, err = run_cli(capsys, command[0], str(instance), *command[1:])
+        assert code == 1 and out == ""
+        assert err == f"error:data: {message.format(path=instance)}\n"
 
     def test_lp_simplex(self, tmp_path, capsys):
         instance = tmp_path / "c.csv"
@@ -492,27 +597,65 @@ def model_file_text(*drop, **changes):
     return json.dumps(doc)
 
 
+# two units of the one-unit model below, to hang class keys on
+CLASSIFIER = {"mode": "classification",
+              "units": [{"v": [1.0, 0.0], "w": [0.5, 0.0]}] * 2}
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("text, message", [
-    ("[1, 2]", "a model file must hold a JSON object"),
-    ('"model"', "a model file must hold a JSON object"),
+    ("[1, 2]", "model must be an object, got a list"),
+    ('"model"', 'model must be an object, got "model"'),
     ('{"format_version": 2, "mode": "regression"',
      "model file {path} is not valid JSON: Expecting ',' delimiter: "
      "line 1 column 43 (char 42)"),
-    (model_file_text("units"), "model is missing key units"),
-    (model_file_text("mode"), "model is missing key mode"),
-    (model_file_text("spec"), "model is missing key spec"),
-    (model_file_text("output_activation"), "model is missing key output_activation"),
-    (model_file_text(units=[{"w": [0.5, 0.0]}]), "model is missing key units[0].v"),
-    (model_file_text(units=[{"v": [1.0, 0.0]}]), "model is missing key units[0].w"),
-    (model_file_text(units=5), "model units must be a list, got int"),
-    (model_file_text(units=[5]), "model units[0] must be an object, got int"),
+    (model_file_text("units"), "missing key model.units"),
+    (model_file_text("mode"), "missing key model.mode"),
+    (model_file_text("spec"), "missing key model.spec"),
+    (model_file_text("output_activation"), "missing key model.output_activation"),
+    (model_file_text(units=[{"w": [0.5, 0.0]}]), "missing key model.units[0].v"),
+    (model_file_text(units=[{"v": [1.0, 0.0]}]), "missing key model.units[0].w"),
+    (model_file_text(units=5), "model.units must be a list, got 5"),
+    (model_file_text(units=[5]), "model.units[0] must be an object, got 5"),
     (model_file_text(units=[{"v": {"a": 1}, "w": [0.5, 0.0]}]),
-     "model units[*].v must be lists of numbers"),
-    (model_file_text(format_version=True), "unsupported model format_version True"),
+     "model.units[0].v must be a list, got an object"),
+    (model_file_text(format_version=True),
+     "model.format_version must be one of 1, 2, got true"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0.7, 1.2]),
+     "model.class_of_unit[0] must be an int, got 0.7"),
+    (model_file_text(**CLASSIFIER, class_of_unit=["0", "1"]),
+     'model.class_of_unit[0] must be an int, got "0"'),
+    (model_file_text(**CLASSIFIER, class_of_unit=5),
+     "model.class_of_unit must be a list, got 5"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 1], class_names="ab"),
+     'model.class_names must be a list, got "ab"'),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 1], class_names=[1, 2]),
+     "model.class_names[0] must be a string, got 1"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 1], class_names=5),
+     "model.class_names must be a list, got 5"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 2], class_names=["a", "b"]),
+     "class_of_unit labels must be non-negative and index class_names, got [0, 2]"),
+    (model_file_text(normalization=[["0", "1"]]),
+     'model.normalization[0][0] must be a finite number, got "0"'),
+    (model_file_text(normalization=[[False, True]]),
+     "model.normalization[0][0] must be a finite number, got false"),
+    (model_file_text(bogus=1), "unknown key model.bogus"),
+    (model_file_text(units=[{"v": [1.0, 0.0], "w": [0.5, 0.0], "b": 0}]),
+     "unknown key model.units[0].b"),
+    (model_file_text(units=[{"v": ["1.0", "0"], "w": [0.5, 0.0]}]),
+     "model.units[0].v must hold numbers only"),
+    (model_file_text(units=[{"v": [1.0, False], "w": [0.5, 0.0]}]),
+     "model.units[0].v must hold numbers only"),
+    (model_file_text(units=[{"v": [1.0, 0.0], "w": [0.5, 0.0]},
+                            {"v": [1.0], "w": [0.5, 0.0]}]),
+     "model.units[*].v must be equally long lists of finite numbers"),
 ], ids=["list", "string", "truncated", "no-units", "no-mode", "no-spec",
         "no-output-activation", "unit-no-v", "unit-no-w", "units-number",
-        "unit-number", "v-object", "version-bool"])
+        "unit-number", "v-object", "version-bool", "class-fraction", "class-string",
+        "class-number", "names-string", "names-numbers", "names-number",
+        "class-out-of-range", "normalization-strings", "normalization-bools",
+        "unknown-key", "unit-unknown-key", "weight-strings", "weight-bool",
+        "weights-ragged"])
 def test_model_file_not_an_object_fails_with_one_error_line(
         tmp_path, capsys, command, text, message):
     model = tmp_path / "model.json"
