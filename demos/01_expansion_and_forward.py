@@ -7,7 +7,7 @@ their excitatory activations.
 
 import numpy as np
 
-from wtanet import ExpansionSpec, WtaModel, expand, expansion_dim, predict
+from wtanet import ExpansionSpec, ModelShape, WtaModel, expand, expansion_dim, predict
 
 # A one-dimensional input with three harmonics per component:
 spec = ExpansionSpec(input_dim=1, order=3)
@@ -26,7 +26,7 @@ for name, value in zip(labels, pattern):
 # is the output.  Ties always go to the smaller unit index.
 rng = np.random.default_rng(0)
 model = WtaModel(
-    spec,
+    ModelShape(spec, n_units=2),
     rng.uniform(-1, 1, size=(2, expansion_dim(spec))),
     rng.uniform(-0.2, 0.2, size=(2, expansion_dim(spec))),
 )
@@ -37,6 +37,6 @@ print(f"output (excitatory - inhibitory response): {outputs[0]:.6f}")
 
 # The competition is scale-invariant: scaling every excitatory vector by
 # the same positive constant never changes the winner.
-scaled = WtaModel(spec, model.excitatory * 7.5, model.inhibitory)
+scaled = WtaModel(model.shape, model.excitatory * 7.5, model.inhibitory)
 assert predict(scaled, [s])[0][0] == winners[0]
 print("\nscaling all excitatory weights by 7.5 keeps the same winner")

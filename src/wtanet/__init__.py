@@ -42,7 +42,6 @@ from .expansion import ExpansionSpec, expand, expand_batch, expansion_dim
 from .ga import (
     FitnessEvaluator,
     GaConfig,
-    ModelShape,
     TrainTrace,
     decode,
     encode,
@@ -51,6 +50,7 @@ from .ga import (
 )
 from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
 from .model import (
+    ModelShape,
     WtaModel,
     load_model,
     model_from_dict,

@@ -351,7 +351,7 @@ def _model_labels(model: WtaModel, data: Dataset) -> np.ndarray:
 def _evaluate_model(model: WtaModel, data: Dataset) -> tuple[dict, list | None, np.ndarray]:
     """Scores of the model on ``data``: metrics, confusion and the outputs."""
     _, outputs = predict(model, data.inputs)
-    if model.mode == CLASSIFICATION:
+    if model.shape.mode == CLASSIFICATION:
         targets = _model_labels(model, data)
         n_classes = len(model.class_names) if model.class_names is not None else None
         metrics = {"accuracy": accuracy(outputs, targets)}
@@ -401,12 +401,8 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
     except ValueError as exc:
         raise PhaseError("train", exc) from exc
 
-    model = WtaModel(
-        trace.model.spec, trace.model.excitatory, trace.model.inhibitory,
-        mode=shape.mode, output_activation=shape.output_activation,
-        class_of_unit=shape.class_of_unit, class_names=dataset.label_names,
-        normalization=dataset.normalization,
-    )
+    model = WtaModel(shape, trace.model.excitatory, trace.model.inhibitory,
+                     class_names=dataset.label_names, normalization=dataset.normalization)
 
     try:
         metrics, confusion, outputs = _evaluate_model(model, test_data)

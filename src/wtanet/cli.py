@@ -21,7 +21,6 @@ from dataclasses import asdict, fields, make_dataclass, replace
 from . import bench, data as datamod
 from .bench import PhaseError, RunConfig, config_digest, run_experiment
 from .data import (
-    CLASSIFICATION,
     gen_function,
     gen_mackey_glass,
     gen_noisy,
@@ -128,7 +127,7 @@ def _read_instance(name, path, k) -> dict:
             raise ValueError(f"instance file {path} must hold {shape} "
                              f"({', '.join(vectors)}), got {len(raw)} rows")
         doc = dict(zip(vectors, raw.tolist()))
-    if k is not None and "k" in cls.__dataclass_fields__ and isinstance(doc, dict):
+    if k is not None and isinstance(doc, dict):
         doc = {**doc, "k": k}
     return vars(parse(cls, doc))
 
@@ -166,7 +165,7 @@ def _cmd_eval(args) -> int:
     dataset = load_csv(
         args.data,
         target_column=args.target_column,
-        mode=model.mode,
+        mode=model.shape.mode,
         header=args.header,
         normalization=model.normalization,
     )
@@ -186,7 +185,7 @@ def _cmd_predict(args) -> int:
         normalization=model.normalization,
     )
     outputs = predict(model, inputs)[1].tolist()
-    if model.mode == CLASSIFICATION and model.class_names is not None:
+    if model.class_names is not None:
         outputs = [model.class_names[c] for c in outputs]
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset
-from .expansion import ExpansionSpec, expand_batch, expansion_dim
-from .model import IDENTITY, LOGISTIC, WtaModel, apply_activation
+from .data import CLASSIFICATION, Dataset
+from .expansion import expand_batch
+from .model import ModelShape, WtaModel, apply_activation
 
 WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
 
@@ -42,55 +42,6 @@ WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
 # per (block, M, N) excitation array: 52 chromosomes at N*M = 630, one at
 # N*M = 28,000, which keeps the peak memory of large datasets flat
 _BLOCK_DOUBLES = 1 << 15
-
-
-@dataclass(frozen=True)
-class ModelShape:
-    """Everything needed to decode a chromosome into a model."""
-
-    spec: ExpansionSpec
-    n_units: int
-    mode: str = REGRESSION
-    output_activation: str = IDENTITY
-    class_of_unit: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_units < 1:
-            raise ValueError(f"n_units must be >= 1, got {self.n_units}")
-        if self.mode not in (REGRESSION, CLASSIFICATION):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.output_activation not in (IDENTITY, LOGISTIC):
-            raise ValueError(f"unknown activation {self.output_activation!r}")
-        if self.mode == CLASSIFICATION:
-            if self.class_of_unit is None:
-                raise ValueError("classification shape requires class_of_unit")
-            if len(self.class_of_unit) != self.n_units:
-                raise ValueError(
-                    f"class_of_unit length {len(self.class_of_unit)} does not "
-                    f"match n_units {self.n_units}"
-                )
-
-    @property
-    def pattern_dim(self) -> int:
-        return expansion_dim(self.spec)
-
-    @property
-    def n_genes(self) -> int:
-        return 2 * self.n_units * self.pattern_dim
-
-    @classmethod
-    def for_classification(cls, spec: ExpansionSpec, n_classes: int,
-                           units_per_class: int = 1) -> "ModelShape":
-        """Units assigned to classes round-robin: unit j carries j % C."""
-        if n_classes < 1 or units_per_class < 1:
-            raise ValueError("n_classes and units_per_class must be >= 1")
-        n_units = n_classes * units_per_class
-        return cls(
-            spec=spec,
-            n_units=n_units,
-            mode=CLASSIFICATION,
-            class_of_unit=tuple(j % n_classes for j in range(n_units)),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,16 +109,7 @@ def decode(genes, shape: ModelShape) -> WtaModel:
             f"chromosome length mismatch: expected {shape.n_genes}, "
             f"got {genes.size}"
         )
-    m = shape.pattern_dim
-    half = shape.n_units * m
-    return WtaModel(
-        shape.spec,
-        genes[:half].reshape(shape.n_units, m),
-        genes[half:].reshape(shape.n_units, m),
-        mode=shape.mode,
-        output_activation=shape.output_activation,
-        class_of_unit=shape.class_of_unit,
-    )
+    return WtaModel(shape, *genes.reshape(2, shape.n_units, shape.pattern_dim))
 
 
 class FitnessEvaluator:

@@ -25,7 +25,6 @@ MODEL_FORMAT_VERSION = 2
 
 IDENTITY = "identity"
 LOGISTIC = "logistic"
-_ACTIVATIONS = (IDENTITY, LOGISTIC)
 
 
 def logistic(x) -> np.ndarray:
@@ -40,93 +39,125 @@ def logistic(x) -> np.ndarray:
 
 
 def apply_activation(name: str, r):
-    if name == IDENTITY:
-        return r
-    if name == LOGISTIC:
-        return logistic(r)
-    raise ValueError(f"unknown activation {name!r}; expected one of {_ACTIVATIONS}")
+    """``r`` through the output activation ``name`` (checked by ModelShape)."""
+    return logistic(r) if name == LOGISTIC else r
 
 
-class WtaModel:
-    """Immutable winner-take-all model over an expanded input pattern.
+@dataclass(frozen=True)
+class ModelShape:
+    """A model's layout: everything but its weights and serving metadata.
+
+    The one check of mode, output activation and unit classes.  A
+    regression shape has no ``class_of_unit``; a classification shape
+    has one class label per unit and the identity activation.
 
     Args:
         spec: input expansion shape.
-        excitatory: (M, m) matrix, row j is unit j's excitatory weights.
-        inhibitory: (M, m) matrix, row j is unit j's inhibitory weights.
+        n_units: M, the number of competing units.
         mode: "regression" or "classification".
         output_activation: "identity" or "logistic" (regression only).
         class_of_unit: class label per unit (classification only).
-        class_names: optional original label strings, index = dense label.
+    """
+
+    spec: ExpansionSpec
+    n_units: int
+    mode: str = REGRESSION
+    output_activation: str = IDENTITY
+    class_of_unit: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_units < 1:
+            raise ValueError(f"n_units must be >= 1, got {self.n_units}")
+        if self.mode not in (REGRESSION, CLASSIFICATION):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.output_activation not in (IDENTITY, LOGISTIC):
+            raise ValueError(f"unknown activation {self.output_activation!r}")
+        if self.mode == REGRESSION:
+            if self.class_of_unit is not None:
+                raise ValueError("class_of_unit is meaningful in classification mode only")
+        elif self.output_activation != IDENTITY:
+            raise ValueError("classification models take no output activation")
+        elif self.class_of_unit is None:
+            raise ValueError("classification shape requires class_of_unit")
+        elif len(self.class_of_unit) != self.n_units:
+            raise ValueError(
+                f"class_of_unit length {len(self.class_of_unit)} does not "
+                f"match n_units {self.n_units}"
+            )
+
+    @property
+    def pattern_dim(self) -> int:
+        return expansion_dim(self.spec)
+
+    @property
+    def n_genes(self) -> int:
+        return 2 * self.n_units * self.pattern_dim
+
+    @classmethod
+    def for_classification(cls, spec: ExpansionSpec, n_classes: int,
+                           units_per_class: int = 1) -> "ModelShape":
+        """Units assigned to classes round-robin: unit j carries j % C."""
+        if n_classes < 1 or units_per_class < 1:
+            raise ValueError("n_classes and units_per_class must be >= 1")
+        n_units = n_classes * units_per_class
+        return cls(
+            spec=spec,
+            n_units=n_units,
+            mode=CLASSIFICATION,
+            class_of_unit=tuple(j % n_classes for j in range(n_units)),
+        )
+
+
+class WtaModel:
+    """Immutable winner-take-all model: a :class:`ModelShape` plus weights.
+
+    Args:
+        shape: the model's layout, checked by ModelShape itself.
+        excitatory: (M, m) matrix, row j is unit j's excitatory weights.
+        inhibitory: (M, m) matrix, row j is unit j's inhibitory weights.
+        class_names: optional original label strings, index = dense label
+            (classification only).
         normalization: (n, 2) per-feature (min, max) of the training data,
             which serving applies to raw inputs; None when unknown
             (format-version-1 files), and serving then normalizes each
             file by its own range.
     """
 
-    def __init__(self, spec: ExpansionSpec, excitatory, inhibitory,
-                 *, mode: str = REGRESSION, output_activation: str = IDENTITY,
-                 class_of_unit=None, class_names=None, normalization=None):
+    def __init__(self, shape: ModelShape, excitatory, inhibitory,
+                 *, class_names=None, normalization=None):
         excitatory = np.array(excitatory, dtype=np.float64, copy=True)
         inhibitory = np.array(inhibitory, dtype=np.float64, copy=True)
-        m = expansion_dim(spec)
-        if excitatory.ndim != 2 or excitatory.shape[1] != m:
-            raise ValueError(
-                f"excitatory weights must have shape (M, {m}), "
-                f"got {excitatory.shape}"
-            )
-        if inhibitory.shape != excitatory.shape:
-            raise ValueError(
-                f"inhibitory shape {inhibitory.shape} does not match "
-                f"excitatory {excitatory.shape}"
-            )
-        if excitatory.shape[0] < 1:
-            raise ValueError("model needs at least one unit")
+        expected = (shape.n_units, shape.pattern_dim)
+        for name, weights in (("excitatory", excitatory), ("inhibitory", inhibitory)):
+            if weights.shape != expected:
+                raise ValueError(f"{name} weights must have shape {expected}, "
+                                 f"got {weights.shape}")
         if not (np.isfinite(excitatory).all() and np.isfinite(inhibitory).all()):
             raise ValueError("model weights must be finite")
-        if mode not in (REGRESSION, CLASSIFICATION):
-            raise ValueError(f"unknown mode {mode!r}")
-        if output_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {output_activation!r}")
-        if mode == CLASSIFICATION:
-            if class_of_unit is None:
-                raise ValueError("classification mode requires class_of_unit")
-            class_of_unit = tuple(int(c) for c in class_of_unit)
-            if len(class_of_unit) != excitatory.shape[0]:
-                raise ValueError(
-                    f"class_of_unit length {len(class_of_unit)} does not match "
-                    f"{excitatory.shape[0]} units"
-                )
-            if min(class_of_unit) < 0 or (class_names is not None
-                                          and max(class_of_unit) >= len(class_names)):
-                raise ValueError("class_of_unit labels must be non-negative and index "
-                                 f"class_names, got {list(class_of_unit)}")
-        elif class_of_unit is not None:
-            raise ValueError("class_of_unit is meaningful in classification mode only")
+        if class_names is not None and shape.mode != CLASSIFICATION:
+            raise ValueError("class_names are meaningful in classification mode only")
+        labels = shape.class_of_unit
+        if labels is not None and (min(labels) < 0 or (
+                class_names is not None and max(labels) >= len(class_names))):
+            raise ValueError("class_of_unit labels must be non-negative and index "
+                             f"class_names, got {list(labels)}")
         if normalization is not None:
             normalization = np.array(normalization, dtype=np.float64, copy=True)
-            if normalization.shape != (spec.input_dim, 2) \
+            if normalization.shape != (shape.spec.input_dim, 2) \
                     or not np.isfinite(normalization).all():
                 raise ValueError(
-                    f"normalization must be finite with shape ({spec.input_dim}, 2), "
+                    f"normalization must be finite with shape ({shape.spec.input_dim}, 2), "
                     f"got {normalization.shape}"
                 )
             normalization.setflags(write=False)
 
         excitatory.setflags(write=False)
         inhibitory.setflags(write=False)
-        self.spec = spec
+        self.shape = shape
         self.excitatory = excitatory
         self.inhibitory = inhibitory
-        self.mode = mode
-        self.output_activation = output_activation
-        self.class_of_unit = class_of_unit
         self.class_names = tuple(class_names) if class_names is not None else None
         self.normalization = normalization
-
-    @property
-    def n_units(self) -> int:
-        return self.excitatory.shape[0]
 
 
 def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +171,7 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     output (classification: any excitation) is not finite is an error,
     reported with the index of the first such row.
     """
-    patterns = expand_batch(model.spec, inputs)[:, :, np.newaxis]
+    patterns = expand_batch(model.shape.spec, inputs)[:, :, np.newaxis]
     # A stacked matmul runs one matrix-vector product per row, so a row's
     # bits never depend on the rest of the batch.  FitnessEvaluator runs a
     # GEMM per block of chromosomes instead: its bits fix every GA
@@ -149,13 +180,13 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         excitation = (model.excitatory @ patterns)[:, :, 0]
         winners = np.argmax(excitation, axis=1)
-        if model.mode == CLASSIFICATION:
-            outputs = np.asarray(model.class_of_unit)[winners]
+        if model.shape.mode == CLASSIFICATION:
+            outputs = np.asarray(model.shape.class_of_unit)[winners]
             finite = np.isfinite(excitation).all(axis=1)
         else:
             inhibition = model.inhibitory[winners][:, np.newaxis, :] @ patterns
             response = excitation[np.arange(len(winners)), winners] - inhibition[:, 0, 0]
-            outputs = apply_activation(model.output_activation, response)
+            outputs = apply_activation(model.shape.output_activation, response)
             finite = np.isfinite(outputs)
     bad = np.flatnonzero(~finite)
     if bad.size:
@@ -166,18 +197,18 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
 def model_to_dict(model: WtaModel) -> dict:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "spec": asdict(model.spec),
-        "mode": model.mode,
-        "output_activation": model.output_activation,
+        "spec": asdict(model.shape.spec),
+        "mode": model.shape.mode,
+        "output_activation": model.shape.output_activation,
         "units": [
             {"v": model.excitatory[j].tolist(), "w": model.inhibitory[j].tolist()}
-            for j in range(model.n_units)
+            for j in range(model.shape.n_units)
         ],
         "normalization": None if model.normalization is None
         else model.normalization.tolist(),
     }
-    if model.class_of_unit is not None:
-        doc["class_of_unit"] = list(model.class_of_unit)
+    if model.shape.class_of_unit is not None:
+        doc["class_of_unit"] = list(model.shape.class_of_unit)
     if model.class_names is not None:
         doc["class_names"] = list(model.class_names)
     return doc
@@ -206,10 +237,10 @@ class ModelFile:
 def model_from_dict(doc) -> WtaModel:
     """Model from its JSON document."""
     model = parse(ModelFile, doc, "model")
-    return WtaModel(model.spec, _unit_weights(model.units, "v"), _unit_weights(model.units, "w"),
-                    mode=model.mode, output_activation=model.output_activation,
-                    class_of_unit=model.class_of_unit, class_names=model.class_names,
-                    normalization=model.normalization)
+    shape = ModelShape(model.spec, len(model.units), model.mode, model.output_activation,
+                       model.class_of_unit)
+    return WtaModel(shape, _unit_weights(model.units, "v"), _unit_weights(model.units, "w"),
+                    class_names=model.class_names, normalization=model.normalization)
 
 
 def _unit_weights(units: tuple[UnitWeights, ...], key: str) -> np.ndarray:

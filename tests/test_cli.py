@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wtanet import (
     ExpansionSpec,
+    ModelShape,
     WtaModel,
     load_model,
     mae,
@@ -230,10 +231,10 @@ FILE_FUZZ_VALUES = st.one_of(
     st.lists(st.lists(st.floats(-3, 3), min_size=1, max_size=3), max_size=3),
 )
 FUZZ_MODEL = model_to_dict(WtaModel(
-    ExpansionSpec(input_dim=1, order=1),
+    ModelShape(ExpansionSpec(input_dim=1, order=1), 2, mode="classification",
+               class_of_unit=[0, 1]),
     [[1.0, 0.5, -0.5, 0.0], [-1.0, 0.2, 0.1, 0.3]], np.zeros((2, 4)),
-    mode="classification", class_of_unit=[0, 1], class_names=["a", "b"],
-    normalization=[[0.0, 1.0]],
+    class_names=["a", "b"], normalization=[[0.0, 1.0]],
 ))
 FUZZ_MODEL_KEYS = sorted(set(FUZZ_MODEL) | set(FUZZ_MODEL["spec"]) | {"v", "w", "bogus"})
 
@@ -388,9 +389,13 @@ class TestSelectCommands:
          "missing key upper"),
         (["lp", "--form", "box"], "inst.csv", "1,-2\n0,0\n",
          "instance file {path} must hold 3 rows (c, lower, upper), got 2 rows"),
+        (["lp", "--form", "simplex", "--k", "5"], "inst.json", '{"c": [1, 2]}',
+         "unknown key k"),
+        (["lp", "--form", "box", "--k", "1"], "inst.csv", "1,-2\n0,0\n3,5\n",
+         "unknown key k"),
     ], ids=["no-x", "number", "x-string", "x-bool", "unknown-key", "truncated",
             "csv-square", "csv-cell", "lp-x-alias", "simplex-k", "box-no-upper",
-            "box-csv-two-rows"])
+            "box-csv-two-rows", "simplex-flag-k", "box-csv-flag-k"])
     def test_malformed_instance_fails_with_one_error_line(
             self, tmp_path, capsys, command, name, text, message):
         instance = tmp_path / name
@@ -561,7 +566,8 @@ class TestNonFiniteOutputs:
     def overflowing_model(self, tmp_path):
         path = tmp_path / "huge.json"
         save_model(WtaModel(
-            ExpansionSpec(input_dim=1, order=0), [[1e308, 0.0]], [[-1e308, 0.0]],
+            ModelShape(ExpansionSpec(input_dim=1, order=0), 1),
+            [[1e308, 0.0]], [[-1e308, 0.0]],
             normalization=[[0.0, 1.0]],
         ), path)
         return path
@@ -588,7 +594,7 @@ class TestNonFiniteOutputs:
 def model_file_text(*drop, **changes):
     """A valid one-unit model file, less the keys ``drop``, with ``changes``."""
     doc = model_to_dict(WtaModel(
-        ExpansionSpec(input_dim=1, order=0), [[1.0, 0.0]], [[0.5, 0.0]],
+        ModelShape(ExpansionSpec(input_dim=1, order=0), 1), [[1.0, 0.0]], [[0.5, 0.0]],
         normalization=[[0.0, 1.0]],
     ))
     doc.update(changes)
@@ -649,13 +655,17 @@ CLASSIFIER = {"mode": "classification",
     (model_file_text(units=[{"v": [1.0, 0.0], "w": [0.5, 0.0]},
                             {"v": [1.0], "w": [0.5, 0.0]}]),
      "model.units[*].v must be equally long lists of finite numbers"),
+    (model_file_text(class_names=["a"]),
+     "class_names are meaningful in classification mode only"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 1], output_activation="logistic"),
+     "classification models take no output activation"),
 ], ids=["list", "string", "truncated", "no-units", "no-mode", "no-spec",
         "no-output-activation", "unit-no-v", "unit-no-w", "units-number",
         "unit-number", "v-object", "version-bool", "class-fraction", "class-string",
         "class-number", "names-string", "names-numbers", "names-number",
         "class-out-of-range", "normalization-strings", "normalization-bools",
         "unknown-key", "unit-unknown-key", "weight-strings", "weight-bool",
-        "weights-ragged"])
+        "weights-ragged", "regression-names", "classifier-logistic"])
 def test_model_file_not_an_object_fails_with_one_error_line(
         tmp_path, capsys, command, text, message):
     model = tmp_path / "model.json"
@@ -671,7 +681,7 @@ def test_model_file_not_an_object_fails_with_one_error_line(
 def test_repeated_main_calls_share_one_parser_and_keep_no_state(tmp_path, capsys):
     model = tmp_path / "model.json"
     save_model(WtaModel(
-        ExpansionSpec(input_dim=1, order=1), [[1.0, 0.0, 0.0, 0.0]],
+        ModelShape(ExpansionSpec(input_dim=1, order=1), 1), [[1.0, 0.0, 0.0, 0.0]],
         [[0.5, 0.0, 0.0, 0.0]], normalization=[[0.0, 1.0]],
     ), model)
     two = tmp_path / "two.csv"

@@ -90,7 +90,7 @@ def reference_next_population(population, fits, config, rng, sigma):
 class TestEncodeDecode:
     def test_gene_order_by_definition(self):
         spec = ExpansionSpec(input_dim=1, order=0)
-        model = WtaModel(spec, [[1.0, 2.0]], [[3.0, 4.0]])
+        model = WtaModel(ModelShape(spec, 1), [[1.0, 2.0]], [[3.0, 4.0]])
         np.testing.assert_array_equal(encode(model), [1, 2, 3, 4])
 
     def test_round_trip_bit_identical(self):

@@ -5,6 +5,7 @@ import pytest
 
 from wtanet import (
     ExpansionSpec,
+    ModelShape,
     WtaModel,
     expand,
     load_model,
@@ -22,14 +23,14 @@ def raw_passthrough_spec(n):
 def predict_one(model, s):
     """Winner, excitations and output of one raw row."""
     winners, outputs = predict(model, [s])
-    return int(winners[0]), model.excitatory @ expand(model.spec, s), outputs[0]
+    return int(winners[0]), model.excitatory @ expand(model.shape.spec, s), outputs[0]
 
 
-def random_model(rng, n=2, order=2, n_units=3, **kwargs):
+def random_model(rng, n=2, order=2, n_units=3, output_activation="identity", **kwargs):
     spec = ExpansionSpec(input_dim=n, order=order)
     m = n * (2 * order + 1) + 1
     return WtaModel(
-        spec,
+        ModelShape(spec, n_units, output_activation=output_activation),
         rng.uniform(-1, 1, size=(n_units, m)),
         rng.uniform(-1, 1, size=(n_units, m)),
         **kwargs,
@@ -39,7 +40,7 @@ def random_model(rng, n=2, order=2, n_units=3, **kwargs):
 class TestForward:
     def test_hand_worked_example(self):
         spec = raw_passthrough_spec(2)
-        model = WtaModel(spec, [[1, 0], [0, 1]], np.zeros((2, 2)))
+        model = WtaModel(ModelShape(spec, 2), [[1, 0], [0, 1]], np.zeros((2, 2)))
         winner, excitation, output = predict_one(model, [0.2, 0.9])
         np.testing.assert_array_equal(excitation, [0.2, 0.9])
         assert winner == 1
@@ -47,24 +48,25 @@ class TestForward:
 
     def test_tie_breaks_to_smallest_index(self):
         spec = raw_passthrough_spec(2)
-        model = WtaModel(spec, [[1, 1], [1, 1]], np.zeros((2, 2)))
+        model = WtaModel(ModelShape(spec, 2), [[1, 1], [1, 1]], np.zeros((2, 2)))
         assert predict(model, [[0.3, 0.4]])[0][0] == 0
 
     def test_inhibition_subtracts_from_winner(self):
         spec = raw_passthrough_spec(1)
-        model = WtaModel(spec, [[2.0]], [[0.5]])
+        model = WtaModel(ModelShape(spec, 1), [[2.0]], [[0.5]])
         assert predict(model, [[1.0]])[1][0] == 1.5
 
     def test_logistic_activation(self):
         spec = raw_passthrough_spec(1)
-        model = WtaModel(spec, [[0.0]], [[0.0]], output_activation="logistic")
+        model = WtaModel(ModelShape(spec, 1, output_activation="logistic"),
+                         [[0.0]], [[0.0]])
         assert predict(model, [[5.0]])[1][0] == 0.5
 
     def test_classification_outputs_winner_class(self):
         spec = raw_passthrough_spec(2)
         model = WtaModel(
-            spec, [[1, 0], [0, 1]], np.zeros((2, 2)),
-            mode="classification", class_of_unit=[4, 9],
+            ModelShape(spec, 2, mode="classification", class_of_unit=[4, 9]),
+            [[1, 0], [0, 1]], np.zeros((2, 2)),
         )
         assert predict(model, [[0.1, 0.8], [0.8, 0.1]])[1].tolist() == [9, 4]
 
@@ -85,14 +87,14 @@ class TestForward:
 
     def test_non_finite_output_names_first_row(self):
         spec = raw_passthrough_spec(1)
-        model = WtaModel(spec, [[1e308]], [[-1e308]])
+        model = WtaModel(ModelShape(spec, 1), [[1e308]], [[-1e308]])
         with pytest.raises(ValueError, match="non-finite output at row 1"):
             predict(model, [[0.0], [1.0], [1.0]])
 
     def test_non_finite_excitation_rejected_in_classification(self):
         spec = raw_passthrough_spec(1)
-        model = WtaModel(spec, [[1e308], [-1e308]], np.zeros((2, 1)),
-                         mode="classification", class_of_unit=[0, 1])
+        model = WtaModel(ModelShape(spec, 2, mode="classification", class_of_unit=[0, 1]),
+                         [[1e308], [-1e308]], np.zeros((2, 1)))
         with pytest.raises(ValueError, match="non-finite output at row 0"):
             predict(model, [[2.0]])
 
@@ -106,7 +108,7 @@ class TestCompetitionInvariances:
             base = predict(model, s)[0].tolist()
             c = float(rng.uniform(0.01, 20))
             scaled = WtaModel(
-                model.spec, model.excitatory * c, model.inhibitory,
+                model.shape, model.excitatory * c, model.inhibitory,
             )
             assert predict(scaled, s)[0].tolist() == base
 
@@ -120,14 +122,14 @@ class TestCompetitionInvariances:
             loser = int(rng.integers(0, 4))
             if loser == winner:
                 continue
-            p = expand(model.spec, s)
+            p = expand(model.shape.spec, s)
             v = model.excitatory.copy()
             w = model.inhibitory.copy()
             v[loser] += rng.uniform(-0.5, 0.5, size=v.shape[1])
             w[loser] = rng.uniform(-1, 1, size=w.shape[1])
             if float(v[loser] @ p) >= float(excitation[winner]):
                 continue  # perturbation must keep the loser strictly below
-            perturbed = predict_one(WtaModel(model.spec, v, w), s)
+            perturbed = predict_one(WtaModel(model.shape, v, w), s)
             assert perturbed[0] == winner
             assert perturbed[2] == output
             checked += 1
@@ -138,7 +140,7 @@ class TestCompetitionInvariances:
         for _ in range(100):
             v = rng.uniform(-1, 1, size=(1, 2))
             w = rng.uniform(-1, 1, size=(1, 2))
-            model = WtaModel(spec, v, w)
+            model = WtaModel(ModelShape(spec, 1), v, w)
             s = rng.uniform(0, 1, size=(1, 1))
             # K=0 expansion plus one linear unit is plain affine regression
             expected = (v[0, 0] - w[0, 0]) * s[0, 0] + (v[0, 1] - w[0, 1])
@@ -157,7 +159,7 @@ class TestPredictBatch:
         s = rng.uniform(0, 1, size=2)
         winner, excitation, output = predict_one(model, s)
         # the per-row definition: argmax of v.p, then (v - w).p of the winner
-        p = expand(model.spec, s)
+        p = expand(model.shape.spec, s)
         assert winner == int(np.argmax(excitation))
         assert output == excitation[winner] - model.inhibitory[winner] @ p
 
@@ -183,18 +185,18 @@ class TestPredictBatch:
 class TestModelValidation:
     def test_unit_weight_lengths_must_match_spec(self):
         spec = ExpansionSpec(input_dim=2, order=1)
-        with pytest.raises(ValueError, match=r"\(M, 7\)"):
-            WtaModel(spec, np.zeros((2, 5)), np.zeros((2, 5)))
+        with pytest.raises(ValueError, match=r"\(2, 7\)"):
+            WtaModel(ModelShape(spec, 2), np.zeros((2, 5)), np.zeros((2, 5)))
 
     def test_classification_requires_unit_classes(self):
         spec = raw_passthrough_spec(2)
         with pytest.raises(ValueError, match="class_of_unit"):
-            WtaModel(spec, np.zeros((2, 2)), np.zeros((2, 2)), mode="classification")
+            ModelShape(spec, 2, mode="classification")
 
     def test_non_finite_weights_rejected(self):
         spec = raw_passthrough_spec(1)
         with pytest.raises(ValueError, match="finite"):
-            WtaModel(spec, [[np.inf]], [[0.0]])
+            WtaModel(ModelShape(spec, 1), [[np.inf]], [[0.0]])
 
     def test_units_view(self):
         # the model JSON lists unit j as row j of both weight matrices
@@ -208,7 +210,7 @@ class TestModelValidation:
     def test_normalization_shape_checked(self):
         spec = raw_passthrough_spec(2)
         with pytest.raises(ValueError, match=r"\(2, 2\)"):
-            WtaModel(spec, np.zeros((1, 2)), np.zeros((1, 2)),
+            WtaModel(ModelShape(spec, 1), np.zeros((1, 2)), np.zeros((1, 2)),
                      normalization=[[0.0, 1.0]])
 
 
@@ -228,14 +230,14 @@ class TestSerialization:
     def test_classification_round_trip_keeps_labels(self, tmp_path):
         spec = raw_passthrough_spec(2)
         model = WtaModel(
-            spec, [[1, 0], [0, 1]], np.zeros((2, 2)),
-            mode="classification", class_of_unit=[0, 1],
+            ModelShape(spec, 2, mode="classification", class_of_unit=[0, 1]),
+            [[1, 0], [0, 1]], np.zeros((2, 2)),
             class_names=["cat", "dog"],
         )
         path = tmp_path / "clf.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.class_of_unit == (0, 1)
+        assert loaded.shape.class_of_unit == (0, 1)
         assert loaded.class_names == ("cat", "dog")
 
     def test_save_is_byte_stable(self, tmp_path):
@@ -248,7 +250,7 @@ class TestSerialization:
 
     def test_format_version_checked(self):
         doc = model_to_dict(WtaModel(
-            raw_passthrough_spec(1), [[1.0]], [[0.0]]
+            ModelShape(raw_passthrough_spec(1), 1), [[1.0]], [[0.0]]
         ))
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="format_version"):
