@@ -6,7 +6,8 @@ spread should grow along x.  Density: enlarging the harmonic basis never
 hurts the best attainable fit.
 """
 
-from wtanet import Density, GaConfig, RunConfig, density_check, gen_function, run_experiment
+from wtanet import (Density, Expansion, GaConfig, Model, RunConfig, density_check,
+                    gen_function, run_experiment)
 
 # --- constant noise -----------------------------------------------------
 result = run_experiment(RunConfig.from_dict({
@@ -39,8 +40,8 @@ for lo, hi in ((0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.01)):
 # --- density check --------------------------------------------------------
 dataset = gen_function("f1", 100, seed=5)
 report = density_check(
-    dataset, Density(k_values=(1, 2, 4), seeds=(0, 1, 2, 3, 4)), 4,
-    GaConfig(generations=300, fitness_stagnation_patience=100),
+    dataset, Density(k_values=(1, 2, 4), seeds=(0, 1, 2, 3, 4)), Model(units=4),
+    Expansion(order=1), GaConfig(generations=300, fitness_stagnation_patience=100),
 )
 print("\ndensity check on sin(2*pi*x):")
 print(f"  orders:      {report.k_values}")

@@ -12,7 +12,9 @@ from .bench import (
     Density,
     DensityReport,
     EvalReport,
+    Expansion,
     ExperimentResult,
+    Model,
     OracleFit,
     PhaseError,
     RunConfig,
@@ -77,12 +79,14 @@ __all__ = [
     "Density",
     "DensityReport",
     "EvalReport",
+    "Expansion",
     "ExpansionSpec",
     "ExperimentResult",
     "FitnessEvaluator",
     "GaConfig",
     "KwtaResult",
     "LpSolution",
+    "Model",
     "ModelShape",
     "OracleFit",
     "PhaseError",

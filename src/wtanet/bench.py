@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -218,7 +218,6 @@ class Density:
     k_values: tuple[int, ...]
     seeds: tuple[int, ...]
     slack: float = 0.02
-    include_oracle: bool = True
 
     def __post_init__(self) -> None:
         k = self.k_values
@@ -462,7 +461,7 @@ class DensityReport:
 
     k_values: list[int]
     ga_rmse: list[float]
-    oracle_rmse: list[float] | None
+    oracle_rmse: list[float]
     seeds: list[int]
     slack: float
     non_increasing: bool
@@ -472,32 +471,30 @@ def _non_increasing(values, slack: float) -> bool:
     return all(b <= a + slack for a, b in zip(values, values[1:]))
 
 
-def density_check(dataset: Dataset, density: Density, n_units: int,
-                  ga_config: GaConfig) -> DensityReport:
+def density_check(dataset: Dataset, density: Density, model: Model,
+                  expansion: Expansion, ga_config: GaConfig) -> DensityReport:
     """Check that a richer basis never hurts the best attainable fit.
 
-    For each order in ``density.k_values`` the min-over-seeds final
+    For each order in ``density.k_values`` (the shape ``train`` builds
+    from ``model`` and ``expansion`` at that order) the min-over-seeds final
     training RMSE is recorded; the report states whether that sequence
     is non-increasing within ``density.slack``.  The least-squares
-    oracle sequence (nested bases) is exactly non-increasing and is
-    included for reference.
+    oracle sequence (nested bases) is exactly non-increasing.
     """
     if dataset.mode != REGRESSION:
         raise ValueError("density_check requires a regression dataset")
 
     ga_rmse = []
-    oracle_rmse = [] if density.include_oracle else None
+    oracle_rmse = []
     for k in density.k_values:
-        spec = ExpansionSpec(input_dim=dataset.n_features, order=k)
-        shape = ModelShape(spec=spec, n_units=n_units, mode=REGRESSION)
+        shape = model.shape(replace(expansion, order=k), dataset)
         # min-over-seeds RMSE == max-over-seeds fitness (fitness is -MSE)
         best_fitness = max(
             train(shape, dataset, ga_config, seed).best_fitness_value
             for seed in density.seeds
         )
         ga_rmse.append(float(np.sqrt(max(0.0, -best_fitness))))
-        if density.include_oracle:
-            oracle_rmse.append(least_squares_oracle(dataset, spec).rmse)
+        oracle_rmse.append(least_squares_oracle(dataset, shape.spec).rmse)
 
     return DensityReport(
         k_values=list(density.k_values),

@@ -11,7 +11,6 @@ computation rejects) and the phase names train, split, evaluate, write.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -30,6 +29,7 @@ from .data import (
     read_csv_matrix,
     series_to_csv,
     dataset_to_csv,
+    write_csv,
 )
 from .model import load_model, predict
 from .schema import parse, read_json
@@ -187,10 +187,7 @@ def _cmd_predict(args) -> int:
     outputs = predict(model, inputs)[1].tolist()
     if model.class_names is not None:
         outputs = [model.class_names[c] for c in outputs]
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row, out in zip(cells, outputs):
-            writer.writerow(row + [out])
+    write_csv(args.output, (row + [out] for row, out in zip(cells, outputs)))
     if not args.quiet:
         print(f"wrote {len(outputs)} predictions to {args.output}")
     return 0
@@ -244,9 +241,8 @@ def _cmd_density(args) -> int:
     density = config.density
     if density is None:
         raise PhaseError("config", "config is missing the 'density' section")
-    report = bench.density_check(
-        bench.load_dataset(config), density, config.model.units, config.ga
-    )
+    report = bench.density_check(bench.load_dataset(config), density, config.model,
+                                 config.expansion, config.ga)
     out_dir = args.out_dir if args.out_dir is not None else config.output.dir
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, config.output.density)

@@ -152,18 +152,26 @@ def normalize(raw: np.ndarray, normalization) -> np.ndarray:
     return out
 
 
-def _constant_note(normalization: np.ndarray) -> str:
-    lo, hi = normalization[:, 0], normalization[:, 1]
-    constant = [int(i) for i in np.nonzero(lo == hi)[0]]
-    if not constant:
-        return ""
-    return f"|warning:constant-features{constant}-normalized-to-0.0"
+def _dataset(raw: np.ndarray, targets, mode: str, provenance: str, *,
+             normalization=None, label_names=None) -> Dataset:
+    """The Dataset of raw (N, n) features, normalized by their own ranges by default."""
+    norm = _feature_ranges(raw) if normalization is None \
+        else np.asarray(normalization, dtype=np.float64)
+    constant = [int(i) for i in np.nonzero(norm[:, 0] == norm[:, 1])[0]]
+    if constant:
+        provenance += f"|warning:constant-features{constant}-normalized-to-0.0"
+    return Dataset(inputs=normalize(raw, norm), targets=targets, mode=mode,
+                   normalization=norm, provenance=provenance,
+                   label_names=label_names)
 
 
 def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
     """Read a CSV file into a list of string rows (header row dropped)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV {path}: {exc}") from None
     if header and rows:
         rows = rows[1:]
     if not rows:
@@ -177,13 +185,25 @@ def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
     return rows
 
 
-def _parse_cell(cell: str, row: int, col: int) -> float:
+def _numbers(rows: list[list[str]], columns: list[int]) -> np.ndarray:
+    """The ``columns`` cells of ``rows`` as an (N, len(columns)) matrix of finite floats."""
     try:
-        return float(cell)
+        # a flat list: numpy converts a nested one about twice as slowly
+        raw = np.array([float(row[c]) for row in rows for c in columns])
     except ValueError:
-        raise ValueError(
-            f"unparseable cell at row {row + 1}, column {col + 1}: {cell!r}"
-        ) from None
+        for r, row in enumerate(rows):  # name the first cell float() rejects
+            for c in columns:
+                try:
+                    float(row[c])
+                except ValueError:
+                    raise ValueError(f"unparseable cell at row {r + 1}, "
+                                     f"column {c + 1}: {row[c]!r}") from None
+    raw = raw.reshape(len(rows), len(columns))
+    if not np.isfinite(raw).all():
+        r, j = np.argwhere(~np.isfinite(raw))[0]
+        raise ValueError(f"non-finite cell at row {r + 1}, column {columns[j] + 1}: "
+                         f"{rows[r][columns[j]]!r}")
+    return raw
 
 
 def _column_index(width: int, column: int, name: str) -> int:
@@ -198,11 +218,7 @@ def _parse_features(rows: list[list[str]], drop: int | None) -> tuple[list[int],
     feature_cols = [c for c in range(len(rows[0])) if c != drop]
     if not feature_cols:
         raise ValueError("no feature columns left after removing the target")
-    raw = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
-    for r, row in enumerate(rows):
-        for j, c in enumerate(feature_cols):
-            raw[r, j] = _parse_cell(row[c], r, c)
-    return feature_cols, raw
+    return feature_cols, _numbers(rows, feature_cols)
 
 
 def load_csv(path, *, target_column: int = -1, mode: str,
@@ -228,34 +244,13 @@ def load_csv(path, *, target_column: int = -1, mode: str,
     rows = read_csv_matrix(path, header=header)
     target = _column_index(len(rows[0]), target_column, "target_column")
     _, raw = _parse_features(rows, target)
-
-    if mode == CLASSIFICATION:
-        label_names: list[str] = []
-        label_ids = {}
-        targets = np.empty(len(rows), dtype=np.int64)
-        for r, row in enumerate(rows):
-            name = row[target].strip()
-            if name not in label_ids:
-                label_ids[name] = len(label_names)
-                label_names.append(name)
-            targets[r] = label_ids[name]
-        names: tuple[str, ...] | None = tuple(label_names)
-    else:
-        targets = np.array(
-            [_parse_cell(row[target], r, target) for r, row in enumerate(rows)]
-        )
-        names = None
-
-    norm = _feature_ranges(raw) if normalization is None \
-        else np.asarray(normalization, dtype=np.float64)
-    return Dataset(
-        inputs=normalize(raw, norm),
-        targets=targets,
-        mode=mode,
-        normalization=norm,
-        provenance=f"csv:{path}{_constant_note(norm)}",
-        label_names=names,
-    )
+    if mode == REGRESSION:
+        return _dataset(raw, _numbers(rows, [target])[:, 0], mode, f"csv:{path}",
+                        normalization=normalization)
+    label_ids: dict[str, int] = {}  # insertion order is first-appearance order
+    targets = [label_ids.setdefault(row[target].strip(), len(label_ids)) for row in rows]
+    return _dataset(raw, targets, mode, f"csv:{path}", normalization=normalization,
+                    label_names=tuple(label_ids))
 
 
 def load_features(path, *, drop_column: int | None = None, header: bool = False,
@@ -353,25 +348,9 @@ def window_series(series, window: int, horizon: int = 1,
             f"series too short: length {series.size}, need at least {minimum}"
         )
     count = series.size - window - horizon + 1
-    raw = np.empty((count, window), dtype=np.float64)
-    for i in range(count):
-        raw[i] = series[i:i + window]
-    targets = series[window + horizon - 1:window + horizon - 1 + count].copy()
-
-    norm = _feature_ranges(raw)
-    return Dataset(
-        inputs=normalize(raw, norm),
-        targets=targets,
-        mode=REGRESSION,
-        normalization=norm,
-        provenance=(
-            f"window(w={window},h={horizon})"
-            f"|{provenance}{_constant_note(norm)}"
-        ),
-    )
-
-
-_IDENTITY_NORM = {1: np.array([[0.0, 1.0]]), 2: np.array([[0.0, 1.0]] * 2)}
+    raw = np.lib.stride_tricks.sliding_window_view(series, window)[:count]
+    return _dataset(raw, series[window + horizon - 1:], REGRESSION,
+                    f"window(w={window},h={horizon})|{provenance}")
 
 
 def _generator_samples(which: str, n_samples: int,
@@ -399,13 +378,9 @@ def gen_function(which: str, n_samples: int, seed: int) -> Dataset:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
     x, y = _generator_samples(which, n_samples, rng)
-    return Dataset(
-        inputs=x,
-        targets=y,
-        mode=REGRESSION,
-        normalization=_IDENTITY_NORM[x.shape[1]].copy(),
-        provenance=f"generator:{which}(n_samples={n_samples},seed={seed})",
-    )
+    return _dataset(x, y, REGRESSION,
+                    f"generator:{which}(n_samples={n_samples},seed={seed})",
+                    normalization=[[0.0, 1.0]] * x.shape[1])
 
 
 def gen_noisy(which: str, sigma: float, n_samples: int, seed: int,
@@ -433,16 +408,10 @@ def gen_noisy(which: str, sigma: float, n_samples: int, seed: int,
         y = y + sigma * eps
     else:
         y = y + sigma * x[:, 0] * eps
-    return Dataset(
-        inputs=x,
-        targets=y,
-        mode=REGRESSION,
-        normalization=_IDENTITY_NORM[x.shape[1]].copy(),
-        provenance=(
-            f"generator:{which}+noise:{noise}"
-            f"(sigma={sigma},n_samples={n_samples},seed={seed})"
-        ),
-    )
+    return _dataset(x, y, REGRESSION,
+                    f"generator:{which}+noise:{noise}"
+                    f"(sigma={sigma},n_samples={n_samples},seed={seed})",
+                    normalization=[[0.0, 1.0]] * x.shape[1])
 
 
 def gen_mackey_glass(length: int, *, tau: int = 17, beta: float = 0.2,
@@ -468,39 +437,35 @@ def gen_mackey_glass(length: int, *, tau: int = 17, beta: float = 0.2,
     return x
 
 
-def dataset_to_csv(dataset: Dataset, path, *, header: bool = False) -> None:
-    """Write a dataset as CSV: raw-scale features, target column last."""
-    raw = dataset.denormalized_inputs()
+def write_csv(path, rows, header=None) -> None:
+    """Write ``rows`` as CSV, after the ``header`` row when one is given.
+
+    Floats are written as their shortest round-tripping repr.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(
-                [f"x{i}" for i in range(dataset.n_features)] + ["target"]
-            )
-        for i in range(dataset.n_samples):
-            row = [repr(float(v)) for v in raw[i]]
-            if dataset.mode == CLASSIFICATION and dataset.label_names is not None:
-                row.append(dataset.label_names[int(dataset.targets[i])])
-            elif dataset.mode == CLASSIFICATION:
-                row.append(str(int(dataset.targets[i])))
-            else:
-                row.append(repr(float(dataset.targets[i])))
-            writer.writerow(row)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def dataset_to_csv(dataset: Dataset, path, *, header: bool = False) -> None:
+    """Write a dataset as CSV: raw-scale features, target column last."""
+    targets = dataset.targets.tolist()
+    if dataset.mode == CLASSIFICATION and dataset.label_names is not None:
+        targets = [dataset.label_names[t] for t in targets]
+    rows = (row + [t] for row, t in zip(dataset.denormalized_inputs().tolist(), targets))
+    names = [f"x{i}" for i in range(dataset.n_features)] + ["target"]
+    write_csv(path, rows, names if header else None)
 
 
 def series_to_csv(series, path, *, header: bool = False) -> None:
     """Write a scalar series as a one-column CSV."""
-    series = np.asarray(series, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(["value"])
-        for v in series:
-            writer.writerow([repr(float(v))])
+    values = np.asarray(series, dtype=np.float64).tolist()
+    write_csv(path, ([v] for v in values), ["value"] if header else None)
 
 
 def load_series_csv(path, *, column: int = 0, header: bool = False) -> np.ndarray:
     """Read one numeric column of a CSV file as a scalar series."""
     rows = read_csv_matrix(path, header=header)
-    col = _column_index(len(rows[0]), column, "column")
-    return np.array([_parse_cell(row[col], r, col) for r, row in enumerate(rows)])
+    return _numbers(rows, [_column_index(len(rows[0]), column, "column")])[:, 0]

@@ -7,8 +7,10 @@ import pytest
 from wtanet import (
     Dataset,
     Density,
+    Expansion,
     ExpansionSpec,
     GaConfig,
+    Model,
     PhaseError,
     RunConfig,
     config_digest,
@@ -219,8 +221,8 @@ class TestDensityCheck:
     def test_oracle_sequence_exactly_non_increasing(self):
         ds = gen_function("f1", 120, seed=6)
         report = density_check(
-            ds, Density(k_values=(0, 1, 2), seeds=(0, 1, 2)), 1,
-            GaConfig(population_size=6, generations=2),
+            ds, Density(k_values=(0, 1, 2), seeds=(0, 1, 2)), Model(units=1),
+            Expansion(order=0), GaConfig(population_size=6, generations=2),
         )
         oracle = report.oracle_rmse
         # nested bases make the oracle sequence strictly drop here
@@ -233,8 +235,8 @@ class TestDensityCheck:
         # full-run check: a richer basis never hurts the best-of-seeds fit
         ds = gen_function("f1", 100, seed=5)
         report = density_check(
-            ds, Density(k_values=(1, 2, 4), seeds=(0, 1, 2, 3, 4)), 4,
-            GaConfig(generations=300, fitness_stagnation_patience=100),
+            ds, Density(k_values=(1, 2, 4), seeds=(0, 1, 2, 3, 4)), Model(units=4),
+            Expansion(order=1), GaConfig(generations=300, fitness_stagnation_patience=100),
         )
         assert report.non_increasing
         assert all(

@@ -1,8 +1,10 @@
 import copy
+import csv
 import json
 import math
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +286,104 @@ def test_fuzzed_instance_runs_or_fails_with_one_error_line(tmp_path, capsys, dat
         code == 1 and re.fullmatch(r"error:data: [^\n]*\n", err)), err
 
 
+# what fuzzing may put into a data or instance CSV cell; the long cell
+# exceeds the csv module's field limit (131,072 characters)
+CSV_FUZZ_CELLS = st.sampled_from(["", "a", "nan", "inf", "1e400", "1,5", "7" * 200_000])
+
+
+def mutate_csv(data, rows):
+    """Drop, duplicate or replace one to three cells, add a header or empty the file."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+        action = data.draw(st.sampled_from(["drop", "duplicate", "replace", "replace",
+                                            "header"]))
+        if action == "header" or not cells:
+            rows.insert(0, [f"h{c}" for c in range(len(rows[0]) if rows else 2)])
+        else:
+            r, c = data.draw(st.sampled_from(cells))
+            if action == "drop":
+                del rows[r][c]
+            elif action == "duplicate":
+                rows[r].insert(c, rows[r][c])
+            else:
+                rows[r][c] = data.draw(CSV_FUZZ_CELLS)
+    if data.draw(st.integers(0, 9)) == 0:
+        rows.clear()
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+FUZZ_CSV_MODELS = {
+    "regression": model_to_dict(WtaModel(
+        ModelShape(ExpansionSpec(input_dim=1, order=1), 2),
+        [[1.0, 0.5, -0.5, 0.0], [-1.0, 0.2, 0.1, 0.3]], np.zeros((2, 4)),
+        normalization=[[0.0, 1.0]],
+    )),
+    "classification": FUZZ_MODEL,
+}
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_data_csv_serves_or_fails_with_one_error_line(tmp_path, capsys, data):
+    mode = data.draw(st.sampled_from(sorted(FUZZ_CSV_MODELS)))
+    labels = ["a", "b"] * 4 if mode == "classification" else ["0.3", "-0.2"] * 4
+    rows = [[repr(x / 8), y] for x, y in enumerate(labels)]
+    mutate_csv(data, rows)
+    work = tempfile.mkdtemp(dir=tmp_path)
+    write_rows(f"{work}/data.csv", rows)
+    with open(f"{work}/model.json", "w", encoding="utf-8") as fh:
+        json.dump(FUZZ_CSV_MODELS[mode], fh)
+    with open(f"{work}/config.json", "w", encoding="utf-8") as fh:
+        json.dump({**FUZZ_BASE, "dataset": {"path": f"{work}/data.csv"},
+                   "model": {"units": 2, "mode": mode}}, fh)
+    for argv in (["--out-dir", f"{work}/out", "train", f"{work}/config.json"],
+                 ["eval", f"{work}/model.json", f"{work}/data.csv"],
+                 ["predict", f"{work}/model.json", f"{work}/data.csv",
+                  "--target-column", "-1", "-o", f"{work}/pred.csv"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "--quiet", *argv)
+        if code == 0:
+            assert err == ""
+            if argv[0] == "eval":
+                json.loads(out, parse_constant=no_constant)
+        else:
+            assert code == 1
+            assert re.fullmatch(r"(warning:[^\n]*\n)?error:[a-z]+: [^\n]*\n", err), err
+
+
+FUZZ_CSV_INSTANCES = {
+    ("kselect", "--k", "2"): [["3", "1", "2"]],
+    ("lp", "--form", "simplex"): [["3"], ["1"], ["2"]],
+    ("lp", "--form", "ksum", "--k", "2"): [["3", "1", "2"]],
+    ("lp", "--form", "box"): [["1", "-2"], ["0", "0"], ["3", "5"]],
+}
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_instance_csv_runs_or_fails_with_one_error_line(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_CSV_INSTANCES)))
+    rows = copy.deepcopy(FUZZ_CSV_INSTANCES[command])
+    mutate_csv(data, rows)
+    path = f"{tempfile.mkdtemp(dir=tmp_path)}/instance.csv"
+    write_rows(path, rows)
+    code, out, err = run_cli(capsys, command[0], path, *command[1:])
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=no_constant)
+    else:
+        assert code == 1 and re.fullmatch(r"error:data: [^\n]*\n", err), err
+
+
 class TestSynthEvalPredict:
     def test_synth_then_eval_then_predict(self, tmp_path, capsys):
         data_csv = tmp_path / "f1.csv"
@@ -456,6 +556,23 @@ class TestDensityCommand:
         assert len(doc["ga_rmse"]) == 3
         assert all(b <= a for a, b in zip(doc["oracle_rmse"], doc["oracle_rmse"][1:]))
 
+    @pytest.mark.parametrize("change, field", [
+        ({"expansion": {"order": 2, "include_bias": False}}, "oracle_rmse"),
+        ({"model": {"units": 2, "activation": "logistic"}}, "ga_rmse"),
+    ], ids=["no-bias", "logistic"])
+    def test_density_trains_the_shape_train_would(self, tmp_path, capsys, change, field):
+        reports = []
+        for name, extra in (("default", {}), ("changed", change)):
+            config = write_config(
+                tmp_path, ga={"population_size": 8, "generations": 3},
+                density={"k_values": [1, 2], "seeds": [0, 1, 2]}, **extra,
+            )
+            code, _, _ = run_cli(capsys, "--out-dir", str(tmp_path / name),
+                                 "density", str(config))
+            assert code == 0
+            reports.append(json.loads((tmp_path / name / "density.json").read_text()))
+        assert reports[0][field] != reports[1][field]
+
 
 class TestClassificationCli:
     def test_train_eval_predict_with_labels(self, tmp_path, capsys, iris_like_csv):
@@ -589,6 +706,43 @@ class TestNonFiniteOutputs:
         assert code == 1
         assert err == "error:data: non-finite output at row 0\n"
         assert not output.exists()
+
+
+class TestNonFiniteCells:
+    def test_train_on_nan_target_fails(self, tmp_path, capsys):
+        data = tmp_path / "f1.csv"
+        run_cli(capsys, "synth", "f1", str(data), "--n", "20")
+        lines = data.read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",nan"
+        data.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, dataset={"path": str(data)})
+        code, _, err = run_cli(capsys, "train", str(config))
+        assert code == 1
+        assert err == "error:data: non-finite cell at row 5, column 2: 'nan'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_of_inf_target_fails(self, tmp_path, capsys, f1_model):
+        data = tmp_path / "data.csv"
+        data.write_text("0.2,0.9\n0.6,inf\n")
+        code, out, err = run_cli(capsys, "eval", str(f1_model), str(data))
+        assert (code, out) == (1, "")
+        assert err == "error:data: non-finite cell at row 2, column 2: 'inf'\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_cell_over_the_csv_field_limit_fails_with_one_error_line(
+            self, tmp_path, capsys, f1_model, command):
+        data = tmp_path / "data.csv"
+        data.write_text("0.2,0.9\n0.6," + "1" * 200_000 + "\n")
+        argv = {
+            "train": ["train", str(write_config(tmp_path, dataset={"path": str(data)}))],
+            "eval": ["eval", str(f1_model), str(data)],
+            "predict": ["predict", str(f1_model), str(data),
+                        "-o", str(tmp_path / "pred.csv")],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error:data: malformed CSV {data}: "
+                       "field larger than field limit (131072)\n")
 
 
 def model_file_text(*drop, **changes):

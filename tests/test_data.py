@@ -68,6 +68,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2, column 2"):
             load_csv(path, target_column=0, mode="regression")
 
+    def test_non_finite_series_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("1.0\n2.0\nnan\n4.0\n")
+        with pytest.raises(ValueError, match="non-finite cell at row 3, column 1: 'nan'"):
+            load_series_csv(path)
+
     def test_constant_feature_flagged_and_zeroed(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("5,1,10\n5,2,20\n5,3,30\n")
