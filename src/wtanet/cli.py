@@ -25,8 +25,9 @@ from .data import (
     gen_noisy,
     load_csv,
     _parse_features,
+    _read_columns,
+    _repr_cells,
     load_features,
-    read_csv_matrix,
     series_to_csv,
     dataset_to_csv,
     write_csv,
@@ -120,7 +121,7 @@ def _read_instance(name, path, k) -> dict:
         doc = read_json(path, "instance file")
         doc = {vectors[0]: doc} if isinstance(doc, list) else doc
     else:
-        raw = _parse_features(read_csv_matrix(path), None)[1]
+        raw = _parse_features(_read_columns(path), None)[1]
         raw = raw.T if len(vectors) == 1 and raw.shape[1] == 1 else raw
         if len(raw) != len(vectors):
             shape = "one row or column" if len(vectors) == 1 else f"{len(vectors)} rows"
@@ -178,16 +179,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = _load_serving_model(args.model)
-    cells, inputs = load_features(
+    columns, inputs = load_features(
         args.data,
         drop_column=args.target_column,
         header=args.header,
         normalization=model.normalization,
     )
-    outputs = predict(model, inputs)[1].tolist()
+    outputs = predict(model, inputs)[1]
     if model.class_names is not None:
-        outputs = [model.class_names[c] for c in outputs]
-    write_csv(args.output, (row + [out] for row, out in zip(cells, outputs)))
+        outputs = [model.class_names[c] for c in outputs.tolist()]
+    else:
+        outputs = _repr_cells(outputs)
+    write_csv(args.output, [*columns, outputs])
     if not args.quiet:
         print(f"wrote {len(outputs)} predictions to {args.output}")
     return 0

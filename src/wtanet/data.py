@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,42 +168,63 @@ def _dataset(raw: np.ndarray, targets, mode: str, provenance: str, *,
 
 def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
     """Read a CSV file into a list of string rows (header row dropped)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            rows = [row for row in csv.reader(fh) if row]
-        except csv.Error as exc:
+            rows = list(filter(None, csv.reader(fh)))
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"malformed CSV {path}: {exc}") from None
     if header and rows:
-        rows = rows[1:]
+        del rows[0]
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(
-                f"ragged CSV: row {r + 1} has {len(row)} cells, expected {width}"
-            )
+    if len(set(map(len, rows))) > 1:
+        width = len(rows[0])
+        r, row = next((r, row) for r, row in enumerate(rows) if len(row) != width)
+        raise ValueError(
+            f"ragged CSV: row {r + 1} has {len(row)} cells, expected {width}"
+        )
     return rows
 
 
-def _numbers(rows: list[list[str]], columns: list[int]) -> np.ndarray:
-    """The ``columns`` cells of ``rows`` as an (N, len(columns)) matrix of finite floats."""
+def _read_columns(path, header: bool = False) -> list[tuple[str, ...]]:
+    """The cells of a CSV file's data rows, one tuple per column."""
+    rows = read_csv_matrix(path, header=header)
+    return [tuple(map(itemgetter(c), rows)) for c in range(len(rows[0]))]
+
+
+def _bad_cell(cells: list[tuple[str, ...]]) -> tuple[int, int]:
+    """(row, index into ``cells``) of the first cell, row by row, that is not a number."""
+    for r, row in enumerate(zip(*cells)):
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                return r, j
+            if "_" in cell:
+                return r, j
+    raise AssertionError("every cell is a number")
+
+
+def _numbers(columns: list[tuple[str, ...]], picks: list[int]) -> np.ndarray:
+    """The ``picks`` columns as an (N, len(picks)) matrix of finite floats."""
+    cells = [columns[c] for c in picks]
     try:
+        # float() also takes digit-group underscores ('1_0' is 10.0); numeric cells do not
+        if any("_" in "".join(column) for column in cells):
+            raise ValueError
         # a flat list: numpy converts a nested one about twice as slowly
-        raw = np.array([float(row[c]) for row in rows for c in columns])
+        raw = np.array([float(cell) for column in cells for cell in column])
     except ValueError:
-        for r, row in enumerate(rows):  # name the first cell float() rejects
-            for c in columns:
-                try:
-                    float(row[c])
-                except ValueError:
-                    raise ValueError(f"unparseable cell at row {r + 1}, "
-                                     f"column {c + 1}: {row[c]!r}") from None
-    raw = raw.reshape(len(rows), len(columns))
+        r, j = _bad_cell(cells)
+        raise ValueError(f"unparseable cell at row {r + 1}, "
+                         f"column {picks[j] + 1}: {cells[j][r]!r}") from None
+    # row-major like the file, so the arrays made from it keep their layout and bits
+    raw = np.ascontiguousarray(raw.reshape(len(picks), -1).T)
     if not np.isfinite(raw).all():
         r, j = np.argwhere(~np.isfinite(raw))[0]
-        raise ValueError(f"non-finite cell at row {r + 1}, column {columns[j] + 1}: "
-                         f"{rows[r][columns[j]]!r}")
+        raise ValueError(f"non-finite cell at row {r + 1}, column {picks[j] + 1}: "
+                         f"{cells[j][r]!r}")
     return raw
 
 
@@ -213,12 +235,13 @@ def _column_index(width: int, column: int, name: str) -> int:
     return index
 
 
-def _parse_features(rows: list[list[str]], drop: int | None) -> tuple[list[int], np.ndarray]:
+def _parse_features(columns: list[tuple[str, ...]],
+                    drop: int | None) -> tuple[list[int], np.ndarray]:
     """Indices of the feature columns (all but ``drop``) and their raw values."""
-    feature_cols = [c for c in range(len(rows[0])) if c != drop]
+    feature_cols = [c for c in range(len(columns)) if c != drop]
     if not feature_cols:
         raise ValueError("no feature columns left after removing the target")
-    return feature_cols, _numbers(rows, feature_cols)
+    return feature_cols, _numbers(columns, feature_cols)
 
 
 def load_csv(path, *, target_column: int = -1, mode: str,
@@ -241,32 +264,33 @@ def load_csv(path, *, target_column: int = -1, mode: str,
         normalization: optional (n, 2) per-feature (min, max) pairs.
     """
     _check_mode(mode)
-    rows = read_csv_matrix(path, header=header)
-    target = _column_index(len(rows[0]), target_column, "target_column")
-    _, raw = _parse_features(rows, target)
+    columns = _read_columns(path, header)
+    target = _column_index(len(columns), target_column, "target_column")
+    _, raw = _parse_features(columns, target)
     if mode == REGRESSION:
-        return _dataset(raw, _numbers(rows, [target])[:, 0], mode, f"csv:{path}",
+        return _dataset(raw, _numbers(columns, [target])[:, 0], mode, f"csv:{path}",
                         normalization=normalization)
     label_ids: dict[str, int] = {}  # insertion order is first-appearance order
-    targets = [label_ids.setdefault(row[target].strip(), len(label_ids)) for row in rows]
+    targets = [label_ids.setdefault(cell.strip(), len(label_ids))
+               for cell in columns[target]]
     return _dataset(raw, targets, mode, f"csv:{path}", normalization=normalization,
                     label_names=tuple(label_ids))
 
 
 def load_features(path, *, drop_column: int | None = None, header: bool = False,
-                  normalization=None) -> tuple[list[list[str]], np.ndarray]:
+                  normalization=None) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Read the feature columns of a CSV file for prediction.
 
     Every column except ``drop_column`` (none when None) is a feature.
-    Returns each row's feature cells as read and the features normalized
-    like :func:`load_csv` does.
+    Returns the feature columns' cells as read, one tuple per column,
+    and the features normalized like :func:`load_csv` does.
     """
-    rows = read_csv_matrix(path, header=header)
+    columns = _read_columns(path, header)
     drop = None if drop_column is None \
-        else _column_index(len(rows[0]), drop_column, "target_column")
-    feature_cols, raw = _parse_features(rows, drop)
+        else _column_index(len(columns), drop_column, "target_column")
+    feature_cols, raw = _parse_features(columns, drop)
     norm = _feature_ranges(raw) if normalization is None else normalization
-    return [[row[c] for c in feature_cols] for row in rows], normalize(raw, norm)
+    return [columns[c] for c in feature_cols], normalize(raw, norm)
 
 
 def _round_half_up(x: float) -> int:
@@ -437,35 +461,66 @@ def gen_mackey_glass(length: int, *, tau: int = 17, beta: float = 0.2,
     return x
 
 
-def write_csv(path, rows, header=None) -> None:
-    """Write ``rows`` as CSV, after the ``header`` row when one is given.
+def _needs_quotes(text: str) -> bool:
+    """Whether ``text`` holds a character that makes csv.writer quote its cell."""
+    # four substring scans in C beat one regex character-class scan tenfold
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
-    Floats are written as their shortest round-tripping repr.
+
+def _quote(cell: str, alone: bool) -> str:
+    """``cell`` as csv.writer writes it; ``alone`` when it is its row's only cell."""
+    if _needs_quotes(cell) or (alone and not cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def write_csv(path, columns, header=None) -> None:
+    """Write equally long ``columns`` of strings as CSV rows, after ``header``.
+
+    The bytes are those of ``csv.writer``: ``\r\n`` line ends, and a
+    cell is quoted only when it holds a comma, a quote or a line break,
+    or is the empty only cell of its row.  Each column is scanned for
+    such cells once.
     """
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns must be equally long")
+    alone = len(columns) == 1
+    columns = [
+        [_quote(cell, alone) for cell in column]
+        if _needs_quotes("".join(column)) or (alone and "" in column) else column
+        for column in columns
+    ]
+    lines = list(map(",".join, zip(*columns)))
+    if header is not None:
+        lines.insert(0, ",".join(_quote(cell, len(header) == 1) for cell in header))
+    lines.append("")  # the last line's end
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines))
+
+
+def _repr_cells(values: np.ndarray) -> list[str]:
+    """Numbers as CSV cells; a float's repr is its shortest round-tripping text."""
+    return list(map(repr, values.tolist()))
 
 
 def dataset_to_csv(dataset: Dataset, path, *, header: bool = False) -> None:
     """Write a dataset as CSV: raw-scale features, target column last."""
-    targets = dataset.targets.tolist()
     if dataset.mode == CLASSIFICATION and dataset.label_names is not None:
-        targets = [dataset.label_names[t] for t in targets]
-    rows = (row + [t] for row, t in zip(dataset.denormalized_inputs().tolist(), targets))
+        targets = [dataset.label_names[t] for t in dataset.targets.tolist()]
+    else:
+        targets = _repr_cells(dataset.targets)
+    columns = [_repr_cells(column) for column in dataset.denormalized_inputs().T]
     names = [f"x{i}" for i in range(dataset.n_features)] + ["target"]
-    write_csv(path, rows, names if header else None)
+    write_csv(path, [*columns, targets], names if header else None)
 
 
 def series_to_csv(series, path, *, header: bool = False) -> None:
     """Write a scalar series as a one-column CSV."""
-    values = np.asarray(series, dtype=np.float64).tolist()
-    write_csv(path, ([v] for v in values), ["value"] if header else None)
+    values = _repr_cells(np.asarray(series, dtype=np.float64))
+    write_csv(path, [values], ["value"] if header else None)
 
 
 def load_series_csv(path, *, column: int = 0, header: bool = False) -> np.ndarray:
     """Read one numeric column of a CSV file as a scalar series."""
-    rows = read_csv_matrix(path, header=header)
-    return _numbers(rows, [_column_index(len(rows[0]), column, "column")])[:, 0]
+    columns = _read_columns(path, header)
+    return _numbers(columns, [_column_index(len(columns), column, "column")])[:, 0]

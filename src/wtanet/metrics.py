@@ -56,6 +56,5 @@ def confusion_matrix(predictions, targets, n_classes: int | None = None) -> np.n
     if n_classes is None:
         n_classes = int(max(p.max(), t.max())) + 1
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for true, pred in zip(t, p):
-        counts[true, pred] += 1
+    np.add.at(counts, (t, p), 1)
     return counts

@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import math
 import re
@@ -728,6 +729,14 @@ class TestNonFiniteCells:
         assert (code, out) == (1, "")
         assert err == "error:data: non-finite cell at row 2, column 2: 'inf'\n"
 
+    def test_eval_of_digit_grouped_target_fails(self, tmp_path, capsys, f1_model):
+        # float() reads '1_0' as 10.0
+        data = tmp_path / "data.csv"
+        data.write_text("0.2,0.9\n0.6,1_0\n")
+        code, out, err = run_cli(capsys, "eval", str(f1_model), str(data))
+        assert (code, out) == (1, "")
+        assert err == "error:data: unparseable cell at row 2, column 2: '1_0'\n"
+
     @pytest.mark.parametrize("command", ["train", "eval", "predict"])
     def test_cell_over_the_csv_field_limit_fails_with_one_error_line(
             self, tmp_path, capsys, f1_model, command):
@@ -743,6 +752,45 @@ class TestNonFiniteCells:
         assert (code, out) == (1, "")
         assert err == (f"error:data: malformed CSV {data}: "
                        "field larger than field limit (131072)\n")
+
+
+class TestCsvText:
+    def test_eval_reads_a_csv_with_a_byte_order_mark(self, tmp_path, capsys, f1_model):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"0.2,0.9\n0.6,-0.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        code, out, err = run_cli(capsys, "eval", str(f1_model), str(marked))
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, "eval", str(f1_model), str(plain))
+
+    def test_csv_that_is_not_utf8_fails_with_one_error_line(self, tmp_path, capsys, f1_model):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"0.2,0.9\n0.6,\xff\n")
+        code, out, err = run_cli(capsys, "eval", str(f1_model), str(data))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error:data: malformed CSV {data}: ")
+        assert err.count("\n") == 1 and "0xff" in err
+
+    def test_predict_writes_class_names_as_csv_writer_would(self, tmp_path, capsys):
+        names = ["a,b", 'say "hi"', ""]
+        model = tmp_path / "model.json"
+        # x=0 wins unit 1 (1 - 2x), x=1 unit 0 (2x - 1), x=0.5 unit 2 (0.5)
+        save_model(WtaModel(
+            ModelShape(ExpansionSpec(input_dim=1, order=0), 3, mode="classification",
+                       class_of_unit=[0, 1, 2]),
+            [[2.0, -1.0], [-2.0, 1.0], [0.0, 0.5]], np.zeros((3, 2)),
+            class_names=names, normalization=[[0.0, 1.0]],
+        ), model)
+        data = tmp_path / "data.csv"
+        data.write_text("0.0\n1.0\n0.5\n")
+        output = tmp_path / "pred.csv"
+        code, _, err = run_cli(capsys, "predict", str(model), str(data), "-o", str(output))
+        assert (code, err) == (0, "")
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([["0.0", names[1]], ["1.0", names[0]],
+                                        ["0.5", names[2]]])
+        assert output.read_bytes() == expected.getvalue().encode("utf-8")
+        assert output.read_bytes() == b'0.0,"say ""hi"""\r\n1.0,"a,b"\r\n0.5,\r\n'
 
 
 def model_file_text(*drop, **changes):

@@ -1,5 +1,11 @@
+import csv
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wtanet import (
     Dataset,
@@ -16,6 +22,7 @@ from wtanet import (
     split_dataset,
     window_series,
 )
+from wtanet.data import write_csv
 
 
 class TestLoadCsv:
@@ -46,8 +53,17 @@ class TestLoadCsv:
             load_features(path)
         cells, inputs = load_features(path, drop_column=1,
                                       normalization=[[1.0, 3.0], [3.0, 7.0]])
-        assert cells == [["1.50", "3"], ["2.50", "5"]]
+        assert cells == [("1.50", "2.50"), ("3", "5")]
         np.testing.assert_array_equal(inputs, [[0.25, 0.0], [0.75, 0.5]])
+
+    def test_digit_grouped_number_rejected_but_label_kept(self, tmp_path):
+        path = tmp_path / "grouped.csv"
+        path.write_text("1,a_b\n2_0,c\n")
+        with pytest.raises(ValueError, match=r"unparseable cell at row 2, column 1: '2_0'"):
+            load_csv(path, target_column=-1, mode="classification")
+        path.write_text("1,a_b\n2,c\n")
+        ds = load_csv(path, target_column=-1, mode="classification")
+        assert ds.label_names == ("a_b", "c")
 
     def test_labels_dense_in_first_appearance_order(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -272,6 +288,52 @@ class TestCsvRoundTrip:
         series_to_csv(series, path)
         back = load_series_csv(path)
         assert back.tobytes() == series.tobytes()
+
+
+# cells csv.writer quotes (",", '"', "\r", "\n"), non-ASCII text and empty cells
+CSV_CELLS = st.one_of(
+    st.just(""),
+    st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "1", "\u00e9", "\u2028", "\U0001f600"],
+            max_size=5),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def csv_table(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=6))
+    header = draw(st.none() | st.lists(CSV_CELLS, min_size=width, max_size=width))
+    return width, rows, header
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(table=csv_table())
+    def test_bytes_equal_csv_writer(self, table):
+        width, rows, header = table
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+        columns = [[row[c] for row in rows] for c in range(width)]
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "out.csv")
+            write_csv(path, columns, header)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode("utf-8")
+
+    def test_lone_empty_cell_is_quoted_and_others_are_bare(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, [["", "x"]])
+        assert path.read_bytes() == b'""\r\nx\r\n'
+        write_csv(path, [["", "x"], ["", ""]], header=["", "h"])
+        assert path.read_bytes() == b",h\r\n,\r\nx,\r\n"
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equally long"):
+            write_csv(tmp_path / "out.csv", [["1", "2"], ["3"]])
 
 
 class TestDatasetInvariants:

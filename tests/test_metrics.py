@@ -65,3 +65,19 @@ class TestClassificationMetrics:
                 counts.sum(axis=1), np.bincount(t, minlength=c)
             )
             assert accuracy(p, t) == counts.trace() / n
+
+    def test_confusion_equals_per_row_count(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            c = int(rng.integers(2, 5))
+            t = rng.integers(0, c, size=n)
+            p = rng.integers(0, c, size=n)
+            expected = np.zeros((c, c), dtype=np.int64)
+            for true, pred in zip(t, p):
+                expected[true, pred] += 1
+            np.testing.assert_array_equal(confusion_matrix(p, t, n_classes=c), expected)
+
+    def test_confusion_label_out_of_range_rejected(self):
+        with pytest.raises(IndexError):
+            confusion_matrix([0, 3], [0, 1], n_classes=2)
