@@ -23,7 +23,9 @@ Fitness is scored in population blocks, and a chromosome whose fitness
 is already known (an elite, or an unmutated child equal to a parent) is
 not scored again.  Reruns are bit-identical; byte identity with older
 versions is not promised: the draw order changed from member-major to
-generation-major, and the block product may round differently.
+generation-major, and the block product may round differently.  The
+one-byte winner codes of the fitness kernel changed no bit: their
+trajectories equal those of the intp winners before them.
 """
 
 from __future__ import annotations
@@ -120,9 +122,12 @@ class FitnessEvaluator:
     returns fitness of shape ``(...)``; a single 1-D chromosome gets a
     Python float.  Chromosomes are scored in blocks, with one matrix
     product per block and weight set, and the winner is the unit with
-    the largest excitation, ties to the smallest index.  Returns -MSE
-    for regression, -(error rate) for classification; a non-finite
-    output (classification: any non-finite excitation) yields the
+    the largest excitation, ties to the smallest index.  Winners are
+    held as the smallest unsigned code that fits the unit count (one
+    byte up to 256 units), and the index that gathers the winner's
+    inhibition is computed in intp.  Returns -MSE for regression,
+    -(error rate) for classification; a non-finite output
+    (classification: any non-finite excitation) yields the
     worst-fitness sentinel instead of raising.
     """
 
@@ -151,6 +156,8 @@ class FitnessEvaluator:
                     f"classes {sorted(missing)} in the data are carried by no unit"
                 )
             self._unit_classes = classes
+        # the smallest unsigned type that holds every unit index
+        self._code = np.min_scalar_type(shape.n_units - 1).type
         n = dataset.n_samples
         self._block = max(1, _BLOCK_DOUBLES // (shape.n_units * n))
         # flat index of unit 0's activation per (chromosome, sample) in a
@@ -168,40 +175,50 @@ class FitnessEvaluator:
             )
         flat = genes.reshape(-1, n_genes)
         fits = np.empty(flat.shape[0])
-        for start in range(0, flat.shape[0], self._block):
-            stop = start + self._block
-            fits[start:stop] = self._score_block(flat[start:stop])
+        # overflow to inf is tolerated here and mapped to the worst-fitness
+        # sentinel instead of raising
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, flat.shape[0], self._block):
+                stop = start + self._block
+                fits[start:stop] = self._score_block(flat[start:stop])
         if genes.ndim == 1:
             return float(fits[0])
         return fits.reshape(genes.shape[:-1])
 
     def _score_block(self, genes: np.ndarray) -> np.ndarray:
         n_units = self.shape.n_units
+        n_samples = self._design_t.shape[1]
         half = n_units * self.shape.pattern_dim
-        # overflow to inf is tolerated here and mapped to the worst-fitness
-        # sentinel instead of raising
-        with np.errstate(over="ignore", invalid="ignore"):
-            excitation = self._activations(genes[:, :half])
-            top = excitation[:, 0]
-            winner = np.zeros(top.shape, dtype=np.intp)
-            for j in range(1, n_units):
-                # strict, so ties stay with the lower index; arithmetic in
-                # place of np.where, whose branches mispredict on mixed
-                # winners and made the cost depend on the population
-                winner = np.maximum(winner, (excitation[:, j] > top) * j)
-                # a NaN excitation propagates into top, as argmax would pick it
-                top = np.maximum(top, excitation[:, j])
-            if self.shape.mode == CLASSIFICATION:
-                finite = np.isfinite(excitation).all(axis=(1, 2))
-                wrong = np.mean(self._unit_classes[winner] != self.targets, axis=1)
-                return np.where(finite, -wrong, WORST_FITNESS)
-            inhibition = self._activations(genes[:, half:]).reshape(-1)
-            n_samples = self._design_t.shape[1]
-            picked = inhibition[winner * n_samples + self._offsets[:len(genes)]]
-            outputs = apply_activation(self.shape.output_activation, top - picked)
-            err = outputs - self.targets
-            mse = np.mean(err * err, axis=1)
-        return np.where(np.isfinite(outputs).all(axis=1), -mse, WORST_FITNESS)
+        excitation = self._activations(genes[:, :half])
+        top = excitation[:, 0]
+        winner = np.zeros(top.shape, dtype=self._code)
+        for j in range(1, n_units):
+            # strict, so ties stay with the lower index; arithmetic in place
+            # of np.where, whose branches mispredict on mixed winners and
+            # made the cost depend on the population; the mask times a code,
+            # not an int, stays one byte a sample instead of eight
+            winner = np.maximum(winner, (excitation[:, j] > top) * self._code(j))
+            # a NaN excitation propagates into top, as argmax would pick it
+            top = np.maximum(top, excitation[:, j])
+        if self.shape.mode == CLASSIFICATION:
+            finite = np.isfinite(excitation).all(axis=(1, 2))
+            wrong = np.count_nonzero(
+                self._unit_classes[winner] != self.targets, axis=1
+            ) / n_samples
+            return np.where(finite, -wrong, WORST_FITNESS)
+        inhibition = self._activations(genes[:, half:]).reshape(-1)
+        # intp before the product: numpy 1.x value-based casting would keep
+        # a small code times N in 16 bits, which wraps past 65,535
+        index = np.multiply(winner, n_samples, dtype=np.intp)
+        index += self._offsets[:len(genes)]
+        err = apply_activation(self.shape.output_activation, top - inhibition[index])
+        err -= self.targets
+        err *= err
+        # the pairwise sum and the division of np.mean, without its wrapper;
+        # a non-finite output, or a finite one whose square overflows, makes
+        # mse non-finite (+inf, so -mse is the sentinel, or NaN)
+        mse = np.add.reduce(err, axis=1) / n_samples
+        return np.where(np.isfinite(mse), -mse, WORST_FITNESS)
 
     def _activations(self, weights: np.ndarray) -> np.ndarray:
         """(block, M, N) activations of the units' weight rows over the design.

@@ -30,6 +30,12 @@ _TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a 
 _type_hints = functools.cache(typing.get_type_hints)
 
 
+@functools.cache
+def _init_fields(cls) -> dict:
+    """The fields of the dataclass ``cls`` that its constructor takes, by name."""
+    return {f.name: f for f in dataclasses.fields(cls) if f.init}
+
+
 def _describe(value) -> str:
     if isinstance(value, dict):
         return "an object"
@@ -44,11 +50,14 @@ def _key(where: str, name: str) -> str:
 
 def read_json(path, what: str):
     """The JSON document in the file ``path``; ``what`` names it in errors."""
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that some editors put first
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
 
 
 def parse(cls, doc, where: str = ""):
@@ -63,7 +72,7 @@ def parse(cls, doc, where: str = ""):
     if not dataclasses.is_dataclass(cls):
         cls = cls.section_class(doc, where)
     hints = _type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    fields = _init_fields(cls)
     kwargs = {name: _value(hints[name], doc[name], _key(where, name))
               for name in fields if name in doc}
     unknown = sorted(set(doc) - set(fields))

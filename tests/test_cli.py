@@ -793,6 +793,55 @@ class TestCsvText:
         assert output.read_bytes() == b'0.0,"say ""hi"""\r\n1.0,"a,b"\r\n0.5,\r\n'
 
 
+class TestJsonText:
+    """Config, model and instance files: a byte-order mark is read past, and
+    bytes that are not UTF-8 fail in the file's own error category, naming it."""
+
+    def test_train_reads_a_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        for name in ("plain", "marked"):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name)
+            config.write_bytes(b"\xef\xbb\xbf" * (name == "marked") + config.read_bytes())
+            code, _, err = run_cli(capsys, "--quiet", "train", str(config))
+            assert (code, err) == (0, "")
+        assert ((tmp_path / "marked/out/model.json").read_bytes()
+                == (tmp_path / "plain/out/model.json").read_bytes())
+
+    def test_eval_reads_a_model_with_a_byte_order_mark(self, tmp_path, capsys, f1_model):
+        marked = tmp_path / "model.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + f1_model.read_bytes())
+        data = tmp_path / "data.csv"
+        data.write_text("0.2,0.9\n0.6,-0.5\n")
+        code, out, err = run_cli(capsys, "eval", str(marked), str(data))
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, "eval", str(f1_model), str(data))
+
+    def test_kselect_reads_an_instance_with_a_byte_order_mark(self, tmp_path, capsys):
+        instance = tmp_path / "inst.json"
+        instance.write_bytes(b'\xef\xbb\xbf{"x": [3, 1, 4, 1, 5], "k": 2}')
+        code, out, err = run_cli(capsys, "kselect", str(instance))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["winners"] == [4, 2]
+
+    @pytest.mark.parametrize("what", ["config", "model", "instance"])
+    def test_json_that_is_not_utf8_fails_with_one_error_line(
+            self, tmp_path, capsys, f1_model, what):
+        path = tmp_path / f"{what}.json"
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n")
+        text, argv, category = {
+            "config": (write_config(tmp_path).read_bytes(), ["train", str(path)],
+                       "config"),
+            "model": (f1_model.read_bytes(), ["eval", str(path), str(data)], "data"),
+            "instance": (b'{"x": [3, 1, 2], "k": 2}', ["kselect", str(path)], "data"),
+        }[what]
+        path.write_bytes(text[:4] + b"\xff" + text[4:])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error:{category}: {what} file {path} is not UTF-8: ")
+        assert err.count("\n") == 1 and "0xff" in err
+
+
 def model_file_text(*drop, **changes):
     """A valid one-unit model file, less the keys ``drop``, with ``changes``."""
     doc = model_to_dict(WtaModel(

@@ -203,8 +203,11 @@ class TestFitness:
             (5, 4, 2, 40, "identity"),   # m = 46
             (4, 1, 6, 105, 3),           # 3 classes, 2 units each
             (2, 0, 1, 1, 1),
+            (1, 1, 300, 20, "identity"),  # two-byte winner codes
+            (1, 1, 5, 17_000, "identity"),  # winner * N passes 65,535
         ]
         for input_dim, order, n_units, n, kind in cases:
+            size = 50 if n < 10_000 else 6
             spec = ExpansionSpec(input_dim=input_dim, order=order)
             x = rng.uniform(0, 1, size=(n, input_dim))
             norm = np.tile([0.0, 1.0], (input_dim, 1))
@@ -221,15 +224,70 @@ class TestFitness:
                 ds = Dataset(inputs=x, targets=rng.normal(size=n),
                              mode="regression", normalization=norm,
                              provenance="test")
-            population = rng.uniform(-2, 2, size=(50, shape.n_genes))
+            population = rng.uniform(-2, 2, size=(size, shape.n_genes))
             # exact excitation ties in half the population: the lower unit wins
             m = shape.pattern_dim
             last = (shape.n_units - 1) * m
-            population[:25, last:last + m] = population[:25, :m]
+            population[:size // 2, last:last + m] = population[:size // 2, :m]
             got = FitnessEvaluator(ds, shape)(population)
             want = [reference_fitness(ds, shape, genes) for genes in population]
-            assert got.shape == (50,)
+            assert got.shape == (size,)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["identity", "logistic", 3])
+    def test_kernel_is_bit_identical_to_argmax_and_mean(self, kind):
+        # the same products as the kernel, block by block, then the plain
+        # formulation: argmax winner, its excitation minus its inhibition,
+        # np.mean of the squared error; == on every bit, not a tolerance
+        rng = np.random.default_rng(43)
+        spec = ExpansionSpec(input_dim=2, order=2)
+        x = rng.uniform(0, 1, size=(90, 2))
+        norm = np.tile([0.0, 1.0], (2, 1))
+        if kind == 3:
+            shape = ModelShape.for_classification(spec, 3, units_per_class=2)
+            ds = Dataset(inputs=x, targets=rng.integers(0, 3, size=90),
+                         mode="classification", normalization=norm, provenance="test")
+        else:
+            shape = ModelShape(spec=spec, n_units=5, output_activation=kind)
+            ds = Dataset(inputs=x, targets=rng.normal(size=90), mode="regression",
+                         normalization=norm, provenance="test")
+        m, n_units = shape.pattern_dim, shape.n_units
+        half = n_units * m
+        population = rng.uniform(-2, 2, size=(40, shape.n_genes))
+        # exact ties of the last unit with unit 0, and of units 1 and 2
+        population[:10, half - m:half] = population[:10, :m]
+        population[10:20, 2 * m:3 * m] = population[10:20, m:2 * m]
+        population[20] *= 1e160  # finite outputs whose squares overflow
+        population[21] = np.copysign(1e308, population[21])  # overflowing dots
+        population[22, m] = np.nan
+        evaluator = FitnessEvaluator(ds, shape)
+        got = evaluator(population)
+
+        want = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(population), evaluator._block):
+                genes = population[start:start + evaluator._block]
+                excitation = evaluator._activations(genes[:, :half])
+                winners = np.argmax(excitation, axis=1)[:, np.newaxis]
+                if kind == 3:
+                    finite = np.isfinite(excitation).all(axis=(1, 2))
+                    predicted = np.asarray(shape.class_of_unit)[winners[:, 0]]
+                    wrong = np.mean(predicted != ds.targets, axis=1)
+                    want.append(np.where(finite, -wrong, -np.inf))
+                    continue
+                inhibition = evaluator._activations(genes[:, half:])
+                outputs = apply_activation(
+                    kind,
+                    np.take_along_axis(excitation, winners, axis=1)[:, 0]
+                    - np.take_along_axis(inhibition, winners, axis=1)[:, 0],
+                )
+                mse = np.mean((outputs - ds.targets) ** 2, axis=1)
+                want.append(np.where(np.isfinite(outputs).all(axis=1), -mse, -np.inf))
+        want = np.concatenate(want)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[:20]).all()
+        if kind == "identity":  # the logistic saturates where this overflows
+            assert (got[20:23] == -np.inf).all()
 
     def test_fitness_shape_follows_the_genes(self):
         ds = tiny_dataset()
