@@ -6,6 +6,7 @@ Failures exit nonzero after printing one machine-parsable line of the
 form ``error:<category>: <message>`` on stderr; categories are io, config
 (the run config), data (a data CSV, model or instance file, or a value a
 computation rejects) and the phase names train, split, evaluate, write.
+A closed stdout exits 1 with no such line.
 """
 
 from __future__ import annotations
@@ -277,9 +278,17 @@ def _fail(category: str, message: str) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except PhaseError as exc:
         return _fail(exc.phase, exc.message)
+    except BrokenPipeError:
+        # the reader closed stdout (`wtanet eval ... | head -1`): exit 1
+        # as quietly as `cat` would, with no error line; stdout goes to
+        # devnull so that the interpreter's flush at exit cannot raise again
+        sys.stdout = open(os.devnull, "w")
+        return 1
     except OSError as exc:
         return _fail("io", str(exc))
     except ValueError as exc:

@@ -21,11 +21,20 @@ evaluation consumes no randomness.
 Tournaments, crossover and mutation run as whole-array operations.
 Fitness is scored in population blocks, and a chromosome whose fitness
 is already known (an elite, or an unmutated child equal to a parent) is
-not scored again.  Reruns are bit-identical; byte identity with older
-versions is not promised: the draw order changed from member-major to
-generation-major, and the block product may round differently.  The
-one-byte winner codes of the fitness kernel changed no bit: their
-trajectories equal those of the intp winners before them.
+not scored again.  A block holds as many chromosomes as keep its
+product, a (block*M, m) by (m, N) GEMM, at or under 10^6 multiply-adds,
+and at least one.  Past that size OpenBLAS (0.3.31, measured on two
+cores) leaves its small-matrix kernel for packed GEMM, which is slower
+at these skinny shapes and rounds some fitness values differently.  The
+products of one full block are allocated once per evaluator and reused
+by every block: fresh ones per block fault in every page they touch.
+
+Reruns are bit-identical, on one BLAS thread or several.  Trajectories,
+model files and traces equal those of the one-byte winner codes before
+this block rule, and theirs equal those of the intp winners before
+them; byte identity with older versions is not promised: the draw order
+changed from member-major to generation-major, and the block product
+may round differently.
 """
 
 from __future__ import annotations
@@ -40,10 +49,9 @@ from .model import ModelShape, WtaModel, apply_activation
 
 WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
 
-# FitnessEvaluator scores chromosomes in blocks of about this many doubles
-# per (block, M, N) excitation array: 52 chromosomes at N*M = 630, one at
-# N*M = 28,000, which keeps the peak memory of large datasets flat
-_BLOCK_DOUBLES = 1 << 15
+# the most multiply-adds one block's fitness product may make (see the
+# module docstring): 4 chromosomes a block at the c08 shape, 11 at c07's
+_BLOCK_MULTIPLY_ADDS = 10**6
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,8 @@ class FitnessEvaluator:
     (m, N).  A call scores chromosomes of shape ``(..., n_genes)`` and
     returns fitness of shape ``(...)``; a single 1-D chromosome gets a
     Python float.  Chromosomes are scored in blocks, with one matrix
-    product per block and weight set, and the winner is the unit with
+    product per block and weight set into a buffer that the evaluator
+    allocates once, and the winner is the unit with
     the largest excitation, ties to the smallest index.  Winners are
     held as the smallest unsigned code that fits the unit count (one
     byte up to 256 units), and the index that gathers the winner's
@@ -159,10 +168,16 @@ class FitnessEvaluator:
         # the smallest unsigned type that holds every unit index
         self._code = np.min_scalar_type(shape.n_units - 1).type
         n = dataset.n_samples
-        self._block = max(1, _BLOCK_DOUBLES // (shape.n_units * n))
+        n_units, m = shape.n_units, shape.pattern_dim
+        self._block = max(1, _BLOCK_MULTIPLY_ADDS // (n_units * m * n))
+        # the products of one full block, reused by every block
+        self._excitation = np.empty((self._block * n_units, n))
+        self._inhibition = (
+            None if shape.mode == CLASSIFICATION else np.empty_like(self._excitation)
+        )
         # flat index of unit 0's activation per (chromosome, sample) in a
         # (block, M, N) array; the winner's sits winner * N further on
-        chromosome_starts = np.arange(self._block)[:, np.newaxis] * shape.n_units * n
+        chromosome_starts = np.arange(self._block)[:, np.newaxis] * n_units * n
         self._offsets = chromosome_starts + np.arange(n)
 
     def __call__(self, genes):
@@ -189,7 +204,7 @@ class FitnessEvaluator:
         n_units = self.shape.n_units
         n_samples = self._design_t.shape[1]
         half = n_units * self.shape.pattern_dim
-        excitation = self._activations(genes[:, :half])
+        excitation = self._activations(genes[:, :half], self._excitation)
         top = excitation[:, 0]
         winner = np.zeros(top.shape, dtype=self._code)
         for j in range(1, n_units):
@@ -206,7 +221,7 @@ class FitnessEvaluator:
                 self._unit_classes[winner] != self.targets, axis=1
             ) / n_samples
             return np.where(finite, -wrong, WORST_FITNESS)
-        inhibition = self._activations(genes[:, half:]).reshape(-1)
+        inhibition = self._activations(genes[:, half:], self._inhibition).reshape(-1)
         # intp before the product: numpy 1.x value-based casting would keep
         # a small code times N in 16 bits, which wraps past 65,535
         index = np.multiply(winner, n_samples, dtype=np.intp)
@@ -220,18 +235,24 @@ class FitnessEvaluator:
         mse = np.add.reduce(err, axis=1) / n_samples
         return np.where(np.isfinite(mse), -mse, WORST_FITNESS)
 
-    def _activations(self, weights: np.ndarray) -> np.ndarray:
+    def _activations(self, weights: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """(block, M, N) activations of the units' weight rows over the design.
 
-        One GEMM of the stacked (block*M, m) rows.  Excitatory and
-        inhibitory rows go in separate products: classification needs
-        only the first, and with one product of both the Mackey-Glass
-        shape (m=21) no longer reproduced the trajectories of the
-        per-chromosome kernel bit for bit.
+        One GEMM of the stacked (block*M, m) rows into the leading rows
+        of ``buf``, a product buffer of one full block; the result is a
+        view of it, valid until ``buf`` is written again.  A full block's
+        GEMM makes at most 10^6 multiply-adds, within OpenBLAS's
+        small-matrix kernel (see the module docstring for why).
+        Excitatory and inhibitory rows go in separate products and
+        buffers: classification needs only the first, and with one
+        product of both the Mackey-Glass shape (m=21) no longer
+        reproduced the trajectories of the per-chromosome kernel bit for
+        bit.
         """
         n_chromosomes = weights.shape[0]
         rows = np.ascontiguousarray(weights).reshape(-1, self.shape.pattern_dim)
-        return (rows @ self._design_t).reshape(n_chromosomes, self.shape.n_units, -1)
+        out = np.matmul(rows, self._design_t, out=buf[:len(rows)])
+        return out.reshape(n_chromosomes, self.shape.n_units, -1)
 
 
 def _ranked_indices(fits: np.ndarray) -> np.ndarray:

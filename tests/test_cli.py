@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import sys
 import tempfile
 import warnings
 
@@ -752,6 +754,29 @@ class TestNonFiniteCells:
         assert (code, out) == (1, "")
         assert err == (f"error:data: malformed CSV {data}: "
                        "field larger than field limit (131072)\n")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as behind `wtanet eval ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_eval_into_a_closed_pipe_exits_1_without_an_error_line(
+            self, tmp_path, capsys, monkeypatch, f1_model):
+        data = tmp_path / "data.csv"
+        data.write_text("0.2,0.9\n0.6,-0.5\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["eval", str(f1_model), str(data)])
+            replaced = sys.stdout
+        replaced.close()
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        # the interpreter's flush at exit goes to devnull, not the pipe
+        assert replaced.name == os.devnull
 
 
 class TestCsvText:

@@ -16,6 +16,7 @@ from wtanet import (
     gen_noisy,
     train,
 )
+from wtanet import ga
 from wtanet.ga import _next_population
 from wtanet.model import apply_activation
 
@@ -267,7 +268,7 @@ class TestFitness:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(population), evaluator._block):
                 genes = population[start:start + evaluator._block]
-                excitation = evaluator._activations(genes[:, :half])
+                excitation = evaluator._activations(genes[:, :half], evaluator._excitation)
                 winners = np.argmax(excitation, axis=1)[:, np.newaxis]
                 if kind == 3:
                     finite = np.isfinite(excitation).all(axis=(1, 2))
@@ -275,7 +276,7 @@ class TestFitness:
                     wrong = np.mean(predicted != ds.targets, axis=1)
                     want.append(np.where(finite, -wrong, -np.inf))
                     continue
-                inhibition = evaluator._activations(genes[:, half:])
+                inhibition = evaluator._activations(genes[:, half:], evaluator._inhibition)
                 outputs = apply_activation(
                     kind,
                     np.take_along_axis(excitation, winners, axis=1)[:, 0]
@@ -288,6 +289,40 @@ class TestFitness:
         assert np.isfinite(got[:20]).all()
         if kind == "identity":  # the logistic saturates where this overflows
             assert (got[20:23] == -np.inf).all()
+
+    @pytest.mark.parametrize("kind", ["identity", "logistic", 3])
+    def test_reused_buffers_and_short_blocks_match_lone_scoring(self, kind, monkeypatch):
+        # one evaluator with blocks of 3: two full blocks and a short one,
+        # then a lone chromosome, then the first population again; each
+        # result equals, byte for byte, a fresh evaluator's on that
+        # chromosome alone, so no block reads what an earlier one left
+        rng = np.random.default_rng(44)
+        spec = ExpansionSpec(input_dim=2, order=1)
+        x = rng.uniform(0, 1, size=(60, 2))
+        norm = np.tile([0.0, 1.0], (2, 1))
+        if kind == 3:
+            shape = ModelShape.for_classification(spec, 3, units_per_class=2)
+            ds = Dataset(inputs=x, targets=rng.integers(0, 3, size=60),
+                         mode="classification", normalization=norm, provenance="test")
+        else:
+            shape = ModelShape(spec=spec, n_units=4, output_activation=kind)
+            ds = Dataset(inputs=x, targets=rng.normal(size=60), mode="regression",
+                         normalization=norm, provenance="test")
+        work = shape.n_units * shape.pattern_dim * ds.n_samples
+        monkeypatch.setattr(ga, "_BLOCK_MULTIPLY_ADDS", 3 * work + work // 2)
+        evaluator = FitnessEvaluator(ds, shape)
+        assert evaluator._block == 3
+        population = rng.uniform(-2, 2, size=(8, shape.n_genes))
+        lone = rng.uniform(-2, 2, size=shape.n_genes)
+        monkeypatch.undo()
+
+        def alone(genes):
+            return np.float64(FitnessEvaluator(ds, shape)(genes)).tobytes()
+
+        want = b"".join(alone(genes) for genes in population)
+        assert evaluator(population).tobytes() == want
+        assert np.float64(evaluator(lone)).tobytes() == alone(lone)
+        assert evaluator(population).tobytes() == want
 
     def test_fitness_shape_follows_the_genes(self):
         ds = tiny_dataset()
