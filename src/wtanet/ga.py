@@ -25,20 +25,33 @@ not scored again.  A block holds as many chromosomes as keep its
 product, a (block*M, m) by (m, N) GEMM, at or under 10^6 multiply-adds,
 and at least one.  Past that size OpenBLAS (0.3.31, measured on two
 cores) leaves its small-matrix kernel for packed GEMM, which is slower
-at these skinny shapes and rounds some fitness values differently.  The
-products of one full block are allocated once per evaluator and reused
-by every block: fresh ones per block fault in every page they touch.
+at these skinny shapes and rounds some fitness values differently.
+Each worker writes its blocks' products into one buffer of its own,
+allocated on first use and reused by every later block: fresh products
+per block fault in every page they touch.
 
-Reruns are bit-identical, on one BLAS thread or several.  Trajectories,
-model files and traces equal those of the one-byte winner codes before
-this block rule, and theirs equal those of the intp winners before
-them; byte identity with older versions is not promised: the draw order
-changed from member-major to generation-major, and the block product
-may round differently.
+Where this process may run on two CPUs or more, one helper thread
+scores blocks 1, 3, 5, ... of a call while the calling thread scores
+blocks 0, 2, 4, ...; numpy releases the GIL inside each pass.  It does
+so only when a call has two blocks or more and each block's
+elementwise passes cover at least 20,000 elements (block * N).  Timed
+on two cores, trainings at the c08 shape (4 x 7000 a pass) and at N of
+12,000 to 20,000 gained, while c07's (11 x 1047) and serving's set-up
+training (23 x 700) lost to the hand-off.  A chromosome's fitness does
+not depend on its block or on the thread that scores it.
+
+Reruns are bit-identical, on one BLAS thread or several and on one CPU
+or two.  Trajectories, model files and traces equal those of the
+one-byte winner codes before the multiply-add block rule, and theirs
+equal those of the intp winners before them; byte identity with older
+versions is not promised: the draw order changed from member-major to
+generation-major, and the block product may round differently.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +65,28 @@ WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
 # the most multiply-adds one block's fitness product may make (see the
 # module docstring): 4 chromosomes a block at the c08 shape, 11 at c07's
 _BLOCK_MULTIPLY_ADDS = 10**6
+
+# the fewest elements, block * N, in one pass of a block for which a call
+# hands every other block to the helper (see the module docstring)
+_HELPER_MIN_PASS = 20_000
+
+
+def _make_helper() -> None:
+    """Set ``_HELPER``: one worker thread, started on first use; none on one CPU.
+
+    Run again in a forked child, which inherits the executor but not its
+    thread, and would queue blocks that no thread ever scores.
+    """
+    global _HELPER
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    _HELPER = ThreadPoolExecutor(1, thread_name_prefix="wtanet-fitness") if cpus >= 2 else None
+
+
+_HELPER: ThreadPoolExecutor | None = None
+_make_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_helper)
 
 
 @dataclass(frozen=True)
@@ -129,8 +164,7 @@ class FitnessEvaluator:
     (m, N).  A call scores chromosomes of shape ``(..., n_genes)`` and
     returns fitness of shape ``(...)``; a single 1-D chromosome gets a
     Python float.  Chromosomes are scored in blocks, with one matrix
-    product per block and weight set into a buffer that the evaluator
-    allocates once, and the winner is the unit with
+    product per block and weight set, and the winner is the unit with
     the largest excitation, ties to the smallest index.  Winners are
     held as the smallest unsigned code that fits the unit count (one
     byte up to 256 units), and the index that gathers the winner's
@@ -138,6 +172,15 @@ class FitnessEvaluator:
     -(error rate) for classification; a non-finite output
     (classification: any non-finite excitation) yields the
     worst-fitness sentinel instead of raising.
+
+    A call with two blocks or more whose passes cover at least
+    ``_HELPER_MIN_PASS`` elements (block * N) hands blocks 1, 3, 5, ...
+    to the module's helper thread, where there is one, and scores
+    blocks 0, 2, 4, ... itself; it returns, or raises, only once the
+    helper is done.  Each of the two workers has its own product buffer
+    and gather offsets, sized by the largest block it has scored, so
+    the helper's exist only where it has run.  One call at a time: an
+    evaluator is not safe to call from two threads at once.
     """
 
     def __init__(self, dataset: Dataset, shape: ModelShape):
@@ -167,18 +210,11 @@ class FitnessEvaluator:
             self._unit_classes = classes
         # the smallest unsigned type that holds every unit index
         self._code = np.min_scalar_type(shape.n_units - 1).type
-        n = dataset.n_samples
-        n_units, m = shape.n_units, shape.pattern_dim
-        self._block = max(1, _BLOCK_MULTIPLY_ADDS // (n_units * m * n))
-        # the products of one full block, reused by every block
-        self._excitation = np.empty((self._block * n_units, n))
-        self._inhibition = (
-            None if shape.mode == CLASSIFICATION else np.empty_like(self._excitation)
-        )
-        # flat index of unit 0's activation per (chromosome, sample) in a
-        # (block, M, N) array; the winner's sits winner * N further on
-        chromosome_starts = np.arange(self._block)[:, np.newaxis] * n_units * n
-        self._offsets = chromosome_starts + np.arange(n)
+        self._block = max(1, _BLOCK_MULTIPLY_ADDS
+                          // (shape.n_units * shape.pattern_dim * dataset.n_samples))
+        # per worker (0: the calling thread, 1: the helper): the chromosomes
+        # its buffers hold, its product buffer and its gather offsets
+        self._spaces = [(0, None, None), (0, None, None)]
 
     def __call__(self, genes):
         genes = np.asarray(genes, dtype=np.float64)
@@ -190,21 +226,57 @@ class FitnessEvaluator:
             )
         flat = genes.reshape(-1, n_genes)
         fits = np.empty(flat.shape[0])
-        # overflow to inf is tolerated here and mapped to the worst-fitness
-        # sentinel instead of raising
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, flat.shape[0], self._block):
-                stop = start + self._block
-                fits[start:stop] = self._score_block(flat[start:stop])
+        starts = range(0, flat.shape[0], self._block)
+        helper = _HELPER
+        if (helper is None or len(starts) < 2
+                or self._block * self._design_t.shape[1] < _HELPER_MIN_PASS):
+            self._score_blocks(flat, fits, starts, 0)
+        else:
+            future = helper.submit(self._score_blocks, flat, fits, starts[1::2], 1)
+            try:
+                self._score_blocks(flat, fits, starts[::2], 0)
+            finally:
+                # the helper writes fits and its buffers until it is done
+                wait((future,))
+            future.result()
         if genes.ndim == 1:
             return float(fits[0])
         return fits.reshape(genes.shape[:-1])
 
-    def _score_block(self, genes: np.ndarray) -> np.ndarray:
+    def _score_blocks(self, flat: np.ndarray, fits: np.ndarray, starts,
+                      worker: int) -> None:
+        """Score the blocks of ``flat`` that begin at ``starts`` into ``fits``."""
+        # overflow to inf is tolerated here and mapped to the worst-fitness
+        # sentinel instead of raising; errstate is per thread, so each
+        # worker enters its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in starts:
+                stop = start + self._block
+                fits[start:stop] = self._score_block(flat[start:stop], worker)
+
+    def _workspace(self, worker: int, rows: int):
+        """``worker``'s product buffer and gather offsets for ``rows`` chromosomes.
+
+        Allocated when a block first needs them and grown when a later
+        block has more rows, so a worker that never runs holds nothing.
+        """
+        capacity, product, offsets = self._spaces[worker]
+        if capacity < rows:
+            n_units, n = self.shape.n_units, self._design_t.shape[1]
+            product = np.empty((rows * n_units, n))
+            if self.shape.mode != CLASSIFICATION:
+                # flat index of unit 0's activation per (chromosome, sample)
+                # in a (rows, M, N) array; the winner's sits winner * N on
+                offsets = np.arange(rows)[:, np.newaxis] * (n_units * n) + np.arange(n)
+            self._spaces[worker] = (rows, product, offsets)
+        return product, offsets
+
+    def _score_block(self, genes: np.ndarray, worker: int) -> np.ndarray:
         n_units = self.shape.n_units
         n_samples = self._design_t.shape[1]
         half = n_units * self.shape.pattern_dim
-        excitation = self._activations(genes[:, :half], self._excitation)
+        product, offsets = self._workspace(worker, len(genes))
+        excitation = self._activations(genes[:, :half], product)
         top = excitation[:, 0]
         winner = np.zeros(top.shape, dtype=self._code)
         for j in range(1, n_units):
@@ -221,11 +293,14 @@ class FitnessEvaluator:
                 self._unit_classes[winner] != self.targets, axis=1
             ) / n_samples
             return np.where(finite, -wrong, WORST_FITNESS)
-        inhibition = self._activations(genes[:, half:], self._inhibition).reshape(-1)
+        if n_units == 1:
+            top = top.copy()  # a view of the product, which the next GEMM overwrites
+        # top and the winners are all that is left of the excitation
+        inhibition = self._activations(genes[:, half:], product).reshape(-1)
         # intp before the product: numpy 1.x value-based casting would keep
         # a small code times N in 16 bits, which wraps past 65,535
         index = np.multiply(winner, n_samples, dtype=np.intp)
-        index += self._offsets[:len(genes)]
+        index += offsets[:len(genes)]
         err = apply_activation(self.shape.output_activation, top - inhibition[index])
         err -= self.targets
         err *= err
@@ -239,13 +314,13 @@ class FitnessEvaluator:
         """(block, M, N) activations of the units' weight rows over the design.
 
         One GEMM of the stacked (block*M, m) rows into the leading rows
-        of ``buf``, a product buffer of one full block; the result is a
-        view of it, valid until ``buf`` is written again.  A full block's
-        GEMM makes at most 10^6 multiply-adds, within OpenBLAS's
-        small-matrix kernel (see the module docstring for why).
-        Excitatory and inhibitory rows go in separate products and
-        buffers: classification needs only the first, and with one
-        product of both the Mackey-Glass shape (m=21) no longer
+        of ``buf``, a worker's product buffer; the result is a view of
+        it, valid until ``buf`` is written again.  A full block's GEMM
+        makes at most 10^6 multiply-adds, within OpenBLAS's small-matrix
+        kernel (see the module docstring for why).  Excitatory and
+        inhibitory rows go in separate products, one after the other
+        into the same buffer: classification needs only the first, and
+        with one product of both the Mackey-Glass shape (m=21) no longer
         reproduced the trajectories of the per-chromosome kernel bit for
         bit.
         """

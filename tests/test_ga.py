@@ -1,3 +1,11 @@
+import os
+import select
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -52,6 +60,51 @@ def reference_fitness(dataset, shape, genes):
     if not np.all(np.isfinite(outputs)):
         return -np.inf
     return -float(np.mean((outputs - dataset.targets) ** 2))
+
+
+def edge_population(kind, size, n=60, seed=45):
+    """A dataset, a shape and ``size`` chromosomes with ties and overflows.
+
+    Rows 0-5 tie units: the last with unit 0, then units 1 and 2.
+    Row 1's outputs square past the float range, row 4's excitations
+    overflow, and the last row has a NaN weight.
+    """
+    rng = np.random.default_rng(seed)
+    spec = ExpansionSpec(input_dim=2, order=1)
+    x = rng.uniform(0, 1, size=(n, 2))
+    norm = np.tile([0.0, 1.0], (2, 1))
+    if kind == 3:
+        shape = ModelShape.for_classification(spec, 3, units_per_class=2)
+        ds = Dataset(inputs=x, targets=rng.integers(0, 3, size=n),
+                     mode="classification", normalization=norm, provenance="test")
+    else:
+        shape = ModelShape(spec=spec, n_units=4, output_activation=kind)
+        ds = Dataset(inputs=x, targets=rng.normal(size=n), mode="regression",
+                     normalization=norm, provenance="test")
+    m, half = shape.pattern_dim, shape.n_units * shape.pattern_dim
+    population = rng.uniform(-2, 2, size=(size, shape.n_genes))
+    population[:3, half - m:half] = population[:3, :m]
+    population[3:6, 2 * m:3 * m] = population[3:6, m:2 * m]
+    population[1] *= 1e160
+    population[4] = np.copysign(1e308, population[4])
+    population[-1, m] = np.nan
+    return ds, shape, population
+
+
+def blocks_of(count, ds, shape, monkeypatch):
+    """Make evaluators built from here on score ``count`` chromosomes a block."""
+    work = shape.n_units * shape.pattern_dim * ds.n_samples
+    monkeypatch.setattr(ga, "_BLOCK_MULTIPLY_ADDS", count * work)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A helper thread for every call of two blocks or more, on any host."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(ga, "_HELPER", pool)
+    monkeypatch.setattr(ga, "_HELPER_MIN_PASS", 0)
+    yield pool
+    pool.shutdown()
 
 
 def reference_next_population(population, fits, config, rng, sigma):
@@ -268,7 +321,7 @@ class TestFitness:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(population), evaluator._block):
                 genes = population[start:start + evaluator._block]
-                excitation = evaluator._activations(genes[:, :half], evaluator._excitation)
+                excitation = evaluator._activations(genes[:, :half], np.empty((len(genes) * n_units, 90)))
                 winners = np.argmax(excitation, axis=1)[:, np.newaxis]
                 if kind == 3:
                     finite = np.isfinite(excitation).all(axis=(1, 2))
@@ -276,7 +329,7 @@ class TestFitness:
                     wrong = np.mean(predicted != ds.targets, axis=1)
                     want.append(np.where(finite, -wrong, -np.inf))
                     continue
-                inhibition = evaluator._activations(genes[:, half:], evaluator._inhibition)
+                inhibition = evaluator._activations(genes[:, half:], np.empty((len(genes) * n_units, 90)))
                 outputs = apply_activation(
                     kind,
                     np.take_along_axis(excitation, winners, axis=1)[:, 0]
@@ -323,6 +376,124 @@ class TestFitness:
         assert evaluator(population).tobytes() == want
         assert np.float64(evaluator(lone)).tobytes() == alone(lone)
         assert evaluator(population).tobytes() == want
+
+    @pytest.mark.parametrize("kind", ["identity", "logistic", 3])
+    def test_helper_scoring_equals_serial_scoring(self, kind, helper, monkeypatch):
+        # blocks of 3 over 11 chromosomes: the caller scores rows 0-2 and
+        # 6-8, the helper rows 3-5 and the short block 9-10, so each
+        # worker has tie rows, an overflow and the helper the NaN
+        ds, shape, population = edge_population(kind, 11)
+        blocks_of(3, ds, shape, monkeypatch)
+        evaluator = FitnessEvaluator(ds, shape)
+        got = evaluator(population)
+        assert evaluator._spaces[1][0] == 3  # the helper scored its blocks
+        monkeypatch.setattr(ga, "_HELPER", None)
+        want = FitnessEvaluator(ds, shape)(population)
+        assert got.tobytes() == want.tobytes()
+        assert got[-1] == -np.inf
+
+    def test_helper_blocks_overflow_to_the_sentinel_without_a_warning(self, helper,
+                                                                      monkeypatch):
+        # errstate is per thread: a helper that did not enter its own would
+        # warn on these overflows, and the filter makes that warning raise
+        ds, shape, population = edge_population("identity", 6)
+        population[[0, 2, 3]] *= 1e160  # rows 1, 4 and 5 overflow or are NaN already
+        blocks_of(1, ds, shape, monkeypatch)
+        evaluator = FitnessEvaluator(ds, shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluator(population)
+        assert evaluator._spaces[1][0] == 1
+        assert (got == -np.inf).all()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_block_raises_only_after_the_other_worker_is_done(
+            self, failing, helper, monkeypatch):
+        ds, shape, population = edge_population("identity", 6)
+        blocks_of(1, ds, shape, monkeypatch)
+        evaluator = FitnessEvaluator(ds, shape)
+        score, done = evaluator._score_block, []
+
+        def scored(genes, worker):
+            if worker == failing:
+                raise RuntimeError("block failed")
+            time.sleep(0.02)
+            done.append(worker)
+            return score(genes, worker)
+
+        monkeypatch.setattr(evaluator, "_score_block", scored)
+        with pytest.raises(RuntimeError, match="block failed"):
+            evaluator(population)
+        assert done == [1 - failing] * 3
+
+    def test_concurrent_callers_share_the_helper(self, helper, monkeypatch):
+        # more calling threads than cores, switching as often as possible;
+        # each result must equal its serial scoring bit for bit
+        ds, shape, population = edge_population("identity", 8)
+        blocks_of(1, ds, shape, monkeypatch)
+        want = FitnessEvaluator(ds, shape)(population).tobytes()
+        results = []
+
+        def caller():
+            evaluator = FitnessEvaluator(ds, shape)
+            results.extend(evaluator(population).tobytes() for _ in range(10))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 40
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_scores_with_a_helper_of_its_own(self, helper, monkeypatch):
+        # the child inherits the executor but not its thread; without a
+        # new helper the child's first call would wait forever
+        ds, shape, population = edge_population("identity", 6)
+        blocks_of(1, ds, shape, monkeypatch)
+        evaluator = FitnessEvaluator(ds, shape)
+        want = evaluator(population).tobytes()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: score, report, exit without pytest's teardown
+            try:
+                os.write(write_end, evaluator(population).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            got = os.read(read_end, len(want)) if ready else b""
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert got == want
+
+    def test_buffers_are_sized_by_the_rows_a_worker_scores(self):
+        # no buffer at construction, though a block holds 16,666 here; the
+        # first call sizes the caller's, a larger one grows it
+        ds = tiny_dataset(n=30)
+        shape = tiny_shape(order=0, n_units=1)
+        evaluator = FitnessEvaluator(ds, shape)
+        assert evaluator._block == 16_666
+        assert evaluator._spaces == [(0, None, None)] * 2
+        genes = np.random.default_rng(46).uniform(-1, 1, size=(9, shape.n_genes))
+        evaluator(genes[:5])
+        rows, product, offsets = evaluator._spaces[0]
+        assert (rows, product.shape, offsets.shape) == (5, (5, 30), (5, 30))
+        evaluator(genes[:3])
+        assert evaluator._spaces[0][1] is product
+        evaluator(genes)
+        assert evaluator._spaces[0][0] == 9
+        assert evaluator._spaces[1] == (0, None, None)
 
     def test_fitness_shape_follows_the_genes(self):
         ds = tiny_dataset()
