@@ -22,28 +22,33 @@ Tournaments, crossover and mutation run as whole-array operations.
 Fitness is scored in population blocks, and a chromosome whose fitness
 is already known (an elite, or an unmutated child equal to a parent) is
 not scored again.  A block holds as many chromosomes as keep its
-product, a (block*M, m) by (m, N) GEMM, at or under 10^6 multiply-adds,
+product, an (M*block, m) by (m, N) GEMM, at or under 10^6 multiply-adds,
 and at least one.  Past that size OpenBLAS (0.3.31, measured on two
 cores) leaves its small-matrix kernel for packed GEMM, which is slower
 at these skinny shapes and rounds some fitness values differently.
-Each worker writes its blocks' products into one buffer of its own,
-allocated on first use and reused by every later block: fresh products
-per block fault in every page they touch.
+Its rows go unit first, then chromosome, so each unit's activations
+over a block are one contiguous run, and the winner's inhibition is
+gathered at winner * block * N + np.arange(block * N).  Each worker
+writes its blocks' products into one buffer of its own, allocated on
+first use and reused by every later block: fresh products per block
+fault in every page they touch.
 
-Where this process may run on two CPUs or more, one helper thread
-scores blocks 1, 3, 5, ... of a call while the calling thread scores
-blocks 0, 2, 4, ...; numpy releases the GIL inside each pass.  It does
-so only when a call has two blocks or more and each block's
-elementwise passes cover at least 20,000 elements (block * N).  Timed
-on two cores, trainings at the c08 shape (4 x 7000 a pass) and at N of
-12,000 to 20,000 gained, while c07's (11 x 1047) and serving's set-up
-training (23 x 700) lost to the hand-off.  A chromosome's fitness does
-not depend on its block or on the thread that scores it.
+Where this process may run on two CPUs or more, one helper thread,
+made on first use, scores blocks 1, 3, 5, ... of a call while the
+calling thread scores blocks 0, 2, 4, ...; numpy releases the GIL
+inside each pass.  It does so only when a call has two blocks or more
+and each block's elementwise passes cover at least 20,000 elements
+(block * N).  Timed on two cores, trainings at the c08 shape (4 x 7000
+a pass) and at N of 12,000 to 20,000 gained, while c07's (11 x 1047)
+and serving's set-up training (23 x 700) lost to the hand-off.  A
+chromosome's fitness does not depend on its block or on the thread
+that scores it.
 
 Reruns are bit-identical, on one BLAS thread or several and on one CPU
 or two.  Trajectories, model files and traces equal those of the
-one-byte winner codes before the multiply-add block rule, and theirs
-equal those of the intp winners before them; byte identity with older
+chromosome-first product order before the unit-first one, theirs those
+of the one-byte winner codes before the multiply-add block rule, and
+theirs those of the intp winners before them; byte identity with older
 versions is not promised: the draw order changed from member-major to
 generation-major, and the block product may round differently.
 """
@@ -51,7 +56,7 @@ generation-major, and the block product may round differently.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +76,36 @@ _BLOCK_MULTIPLY_ADDS = 10**6
 _HELPER_MIN_PASS = 20_000
 
 
-def _make_helper() -> None:
-    """Set ``_HELPER``: one worker thread, started on first use; none on one CPU.
+_HELPER = None  # the helper's ThreadPoolExecutor, once _helper() has made it
+_HELPER_LOCK = threading.Lock()
 
-    Run again in a forked child, which inherits the executor but not its
-    thread, and would queue blocks that no thread ever scores.
+
+def _helper():
+    """The helper executor, made on first use; None on one CPU.
+
+    Made lazily, so that a process that never scores a long block does
+    not import concurrent.futures.
     """
     global _HELPER
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    _HELPER = ThreadPoolExecutor(1, thread_name_prefix="wtanet-fitness") if cpus >= 2 else None
+    with _HELPER_LOCK:
+        if _HELPER is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if cpus >= 2:
+                from concurrent.futures import ThreadPoolExecutor
+                _HELPER = ThreadPoolExecutor(1, thread_name_prefix="wtanet-fitness")
+        return _HELPER
 
 
-_HELPER: ThreadPoolExecutor | None = None
-_make_helper()
+def _forget_helper() -> None:
+    # a forked child inherits the executor but not its thread, which would
+    # leave its blocks unscored, and maybe a lock some other thread held
+    global _HELPER, _HELPER_LOCK
+    _HELPER, _HELPER_LOCK = None, threading.Lock()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_make_helper)
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 @dataclass(frozen=True)
@@ -227,17 +246,19 @@ class FitnessEvaluator:
         flat = genes.reshape(-1, n_genes)
         fits = np.empty(flat.shape[0])
         starts = range(0, flat.shape[0], self._block)
-        helper = _HELPER
-        if (helper is None or len(starts) < 2
-                or self._block * self._design_t.shape[1] < _HELPER_MIN_PASS):
+        helper = None
+        if len(starts) >= 2 and self._block * self._design_t.shape[1] >= _HELPER_MIN_PASS:
+            helper = _helper()
+        if helper is None:
             self._score_blocks(flat, fits, starts, 0)
         else:
             future = helper.submit(self._score_blocks, flat, fits, starts[1::2], 1)
             try:
                 self._score_blocks(flat, fits, starts[::2], 0)
             finally:
-                # the helper writes fits and its buffers until it is done
-                wait((future,))
+                # the helper writes fits and its buffers until it is done;
+                # exception() waits for that, result() raises its error
+                future.exception()
             future.result()
         if genes.ndim == 1:
             return float(fits[0])
@@ -257,17 +278,20 @@ class FitnessEvaluator:
     def _workspace(self, worker: int, rows: int):
         """``worker``'s product buffer and gather offsets for ``rows`` chromosomes.
 
-        Allocated when a block first needs them and grown when a later
-        block has more rows, so a worker that never runs holds nothing.
+        The buffer takes a block's (M*block, N) product, unit first.  The
+        offsets (regression only) are np.arange(rows * N) as (rows, N), so
+        ``offsets[:block]`` is np.arange(block * N): the flat index of unit
+        0's activation per (chromosome, sample) in the (M, block, N)
+        product, the winner's sitting winner * block * N on.  Allocated
+        when a block first needs them and grown when a later block has
+        more rows, so a worker that never runs holds nothing.
         """
         capacity, product, offsets = self._spaces[worker]
         if capacity < rows:
-            n_units, n = self.shape.n_units, self._design_t.shape[1]
-            product = np.empty((rows * n_units, n))
+            n = self._design_t.shape[1]
+            product = np.empty((rows * self.shape.n_units, n))
             if self.shape.mode != CLASSIFICATION:
-                # flat index of unit 0's activation per (chromosome, sample)
-                # in a (rows, M, N) array; the winner's sits winner * N on
-                offsets = np.arange(rows)[:, np.newaxis] * (n_units * n) + np.arange(n)
+                offsets = np.arange(rows * n).reshape(rows, n)
             self._spaces[worker] = (rows, product, offsets)
         return product, offsets
 
@@ -277,29 +301,29 @@ class FitnessEvaluator:
         half = n_units * self.shape.pattern_dim
         product, offsets = self._workspace(worker, len(genes))
         excitation = self._activations(genes[:, :half], product)
-        top = excitation[:, 0]
+        top = excitation[0]
         winner = np.zeros(top.shape, dtype=self._code)
         for j in range(1, n_units):
             # strict, so ties stay with the lower index; arithmetic in place
             # of np.where, whose branches mispredict on mixed winners and
             # made the cost depend on the population; the mask times a code,
             # not an int, stays one byte a sample instead of eight
-            winner = np.maximum(winner, (excitation[:, j] > top) * self._code(j))
+            winner = np.maximum(winner, (excitation[j] > top) * self._code(j))
             # a NaN excitation propagates into top, as argmax would pick it
-            top = np.maximum(top, excitation[:, j])
+            top = np.maximum(top, excitation[j])
         if self.shape.mode == CLASSIFICATION:
-            finite = np.isfinite(excitation).all(axis=(1, 2))
-            wrong = np.count_nonzero(
-                self._unit_classes[winner] != self.targets, axis=1
-            ) / n_samples
+            finite = np.isfinite(excitation).all(axis=(0, 2))
+            # np.count_nonzero's own sum, without its wrapper
+            wrong = np.add.reduce(self._unit_classes.take(winner) != self.targets,
+                                  axis=1, dtype=np.intp) / n_samples
             return np.where(finite, -wrong, WORST_FITNESS)
         if n_units == 1:
             top = top.copy()  # a view of the product, which the next GEMM overwrites
         # top and the winners are all that is left of the excitation
         inhibition = self._activations(genes[:, half:], product).reshape(-1)
         # intp before the product: numpy 1.x value-based casting would keep
-        # a small code times N in 16 bits, which wraps past 65,535
-        index = np.multiply(winner, n_samples, dtype=np.intp)
+        # a small code times block * N in 16 bits, which wraps past 65,535
+        index = np.multiply(winner, top.size, dtype=np.intp)
         index += offsets[:len(genes)]
         err = apply_activation(self.shape.output_activation, top - inhibition[index])
         err -= self.targets
@@ -311,28 +335,24 @@ class FitnessEvaluator:
         return np.where(np.isfinite(mse), -mse, WORST_FITNESS)
 
     def _activations(self, weights: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """(block, M, N) activations of the units' weight rows over the design.
+        """(M, block, N) activations of the units' weight rows over the design.
 
-        One GEMM of the stacked (block*M, m) rows into the leading rows
-        of ``buf``, a worker's product buffer; the result is a view of
-        it, valid until ``buf`` is written again.  A full block's GEMM
-        makes at most 10^6 multiply-adds, within OpenBLAS's small-matrix
-        kernel (see the module docstring for why).  Excitatory and
-        inhibitory rows go in separate products, one after the other
+        One GEMM of the (M*block, m) rows, stacked unit first, then
+        chromosome, into the leading rows of ``buf``, a worker's product
+        buffer; the result is a view of it, valid until ``buf`` is
+        written again.  Unit j's activations of the block fill
+        [j * block * N, (j + 1) * block * N) of it, flat.  Excitatory
+        and inhibitory rows go in separate products, one after the other
         into the same buffer: classification needs only the first, and
         with one product of both the Mackey-Glass shape (m=21) no longer
         reproduced the trajectories of the per-chromosome kernel bit for
         bit.
         """
-        n_chromosomes = weights.shape[0]
-        rows = np.ascontiguousarray(weights).reshape(-1, self.shape.pattern_dim)
+        n_chromosomes, n_units = weights.shape[0], self.shape.n_units
+        rows = weights.reshape(n_chromosomes, n_units, -1).transpose(1, 0, 2)
+        rows = np.ascontiguousarray(rows).reshape(-1, self.shape.pattern_dim)
         out = np.matmul(rows, self._design_t, out=buf[:len(rows)])
-        return out.reshape(n_chromosomes, self.shape.n_units, -1)
-
-
-def _ranked_indices(fits: np.ndarray) -> np.ndarray:
-    # stable sort on -fitness: equal fitness ranks by smaller index
-    return np.argsort(-fits, kind="stable")
+        return out.reshape(n_units, n_chromosomes, -1)
 
 
 def _next_population(population: np.ndarray, fits: np.ndarray,
@@ -345,44 +365,55 @@ def _next_population(population: np.ndarray, fits: np.ndarray,
     coins, the mutation coins, the BLX uniforms (drawn for every child,
     used for the crossed ones) and one standard normal per mutated gene
     in row-major order.  A slot's fitness is known when it holds an
-    elite, or a child with no mutated gene that equals a parent: a
-    clone of the better parent, or the blend of two equal parents.
-    Every other slot reads NaN (a fitness is never NaN) and must be
-    scored.
+    elite, or a child with no mutated gene that equals a parent: a copy
+    of the better parent (an uncrossed child, so not compared), or the
+    blend of two equal parents.  Every other slot reads NaN (a fitness
+    is never NaN) and must be scored.
     """
     size, n_genes = population.shape
     elites = config.elitism_count
     n_children = config.population_size - elites
     rate = config.resolved_mutation_rate(n_genes)
-    contestants = rng.integers(
-        0, size, (n_children, 2, config.tournament_size), np.int64
-    )
+    contestants = rng.integers(0, size, (n_children, 2, config.tournament_size), np.int64)
     crossed = rng.random(n_children) < config.crossover_rate
     mutated = rng.random((n_children, n_genes)) < rate
     blend = rng.random((n_children, n_genes))
-    normals = rng.standard_normal(np.count_nonzero(mutated))
+    mutated_at = mutated.reshape(-1).nonzero()[0]
+    normals = rng.standard_normal(mutated_at.size)
 
     # each tournament goes to its first contestant of highest fitness
-    picks = np.argmax(fits[contestants], axis=2)[..., np.newaxis]
-    p1, p2 = np.take_along_axis(contestants, picks, axis=2)[..., 0].T
+    picks = np.argmax(fits[contestants], axis=2).ravel()
+    picks += np.arange(0, contestants.size, config.tournament_size)
+    p1, p2 = contestants.ravel()[picks].reshape(n_children, 2).T
     better = np.where(fits[p1] >= fits[p2], p1, p2)
-    children = population[better]
-    g1, g2 = population[p1[crossed]], population[p2[crossed]]
+
+    # elites, then children, in one array ("wrap": take without the
+    # buffering of its bounds check; every index is in range)
+    order = np.argsort(-fits, kind="stable")  # equal fitness: smaller index first
+    next_population = np.empty((config.population_size, n_genes))
+    population.take(order[:elites], axis=0, out=next_population[:elites], mode="wrap")
+    children = next_population[elites:]
+    population.take(better, axis=0, out=children, mode="wrap")
+    # BLX-alpha in place on the crossed rows: (lo - alpha*span) + (u*(1 + 2 alpha))*span
+    cross = np.flatnonzero(crossed)
+    g1, g2 = population[p1[cross]], population[p2[cross]]
     lo = np.minimum(g1, g2)
     span = np.maximum(g1, g2) - lo
-    children[crossed] = (
-        lo - config.blx_alpha * span
-        + blend[crossed] * (1.0 + 2.0 * config.blx_alpha) * span
-    )
-    children[mutated] += sigma * normals
+    u = blend[cross] * (1.0 + 2.0 * config.blx_alpha)
+    u *= span
+    span *= config.blx_alpha
+    lo -= span
+    lo += u
+    children[cross] = lo
+    children.reshape(-1)[mutated_at] += sigma * normals
 
-    order = _ranked_indices(fits)
-    known = np.full(size, np.nan)
+    known = np.full(config.population_size, np.nan)
     known[:elites] = fits[order[:elites]]
+    same = ~mutated.any(axis=1)
+    same[cross] &= (lo == g1).all(axis=1)  # lo: the crossed children before mutation
     parent = np.where(crossed, p1, better)
-    same = ~mutated.any(axis=1) & (children == population[parent]).all(axis=1)
     known[elites:][same] = fits[parent[same]]
-    return np.concatenate([population[order[:elites]], children]), known
+    return next_population, known
 
 
 @dataclass

@@ -31,6 +31,12 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 
 @functools.cache
+def _origin_args(tp) -> tuple:
+    """``typing.get_origin`` and ``typing.get_args`` of the annotation ``tp``."""
+    return typing.get_origin(tp), typing.get_args(tp)
+
+
+@functools.cache
 def _init_fields(cls) -> dict:
     """The fields of the dataclass ``cls`` that its constructor takes, by name."""
     return {f.name: f for f in dataclasses.fields(cls) if f.init}
@@ -95,7 +101,7 @@ def _value(tp, value, where: str):
         if tp in (bool, str, list) and isinstance(value, tp):
             return value
         raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {_describe(value)}")
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    origin, args = _origin_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None

@@ -1,5 +1,8 @@
+import concurrent.futures
+import math
 import os
 import select
+import subprocess
 import sys
 import threading
 import time
@@ -108,7 +111,13 @@ def helper(monkeypatch):
 
 
 def reference_next_population(population, fits, config, rng, sigma):
-    """Generation-major draws, then a child-by-child loop: the GA's stream contract."""
+    """Generation-major draws, then a child-by-child loop: the GA's stream contract.
+
+    Returns the next population and the fitness known for each slot:
+    the elites' own, and a child's parent's (its first if crossed, its
+    better if not) exactly when no gene mutated and the child equals
+    that parent bit for bit; NaN everywhere else.
+    """
     size, n_genes = population.shape
     elites = config.elitism_count
     n_children = config.population_size - elites
@@ -124,21 +133,29 @@ def reference_next_population(population, fits, config, rng, sigma):
     order = np.argsort(-fits, kind="stable")
     next_pop = np.empty_like(population)
     next_pop[:elites] = population[order[:elites]]
+    known = np.full(size, np.nan)
+    known[:elites] = fits[order[:elites]]
     for k in range(n_children):
         p1, p2 = (int(c[np.argmax(fits[c])]) for c in contestants[k])
         if crossover_coins[k] < config.crossover_rate:
+            parent = p1
             g1, g2 = population[p1], population[p2]
             lo, hi = np.minimum(g1, g2), np.maximum(g1, g2)
             span = hi - lo
             child = (lo - config.blx_alpha * span
                      + uniforms[k] * (1.0 + 2.0 * config.blx_alpha) * span)
         else:
-            child = population[p1 if fits[p1] >= fits[p2] else p2].copy()
+            parent = p1 if fits[p1] >= fits[p2] else p2
+            child = population[parent].copy()
+        mutated = False
         for g in range(n_genes):  # row-major: one normal per mutated gene
             if mutation_coins[k, g] < rate:
                 child[g] += sigma * next(normals)
+                mutated = True
         next_pop[elites + k] = child
-    return next_pop
+        if not mutated and child.tobytes() == population[parent].tobytes():
+            known[elites + k] = fits[parent]
+    return next_pop, known
 
 
 class TestEncodeDecode:
@@ -321,7 +338,9 @@ class TestFitness:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(population), evaluator._block):
                 genes = population[start:start + evaluator._block]
-                excitation = evaluator._activations(genes[:, :half], np.empty((len(genes) * n_units, 90)))
+                # _activations is (M, block, N); the plain formulation reads (block, M, N)
+                excitation = evaluator._activations(
+                    genes[:, :half], np.empty((len(genes) * n_units, 90))).transpose(1, 0, 2)
                 winners = np.argmax(excitation, axis=1)[:, np.newaxis]
                 if kind == 3:
                     finite = np.isfinite(excitation).all(axis=(1, 2))
@@ -329,7 +348,8 @@ class TestFitness:
                     wrong = np.mean(predicted != ds.targets, axis=1)
                     want.append(np.where(finite, -wrong, -np.inf))
                     continue
-                inhibition = evaluator._activations(genes[:, half:], np.empty((len(genes) * n_units, 90)))
+                inhibition = evaluator._activations(
+                    genes[:, half:], np.empty((len(genes) * n_units, 90))).transpose(1, 0, 2)
                 outputs = apply_activation(
                     kind,
                     np.take_along_axis(excitation, winners, axis=1)[:, 0]
@@ -387,7 +407,7 @@ class TestFitness:
         evaluator = FitnessEvaluator(ds, shape)
         got = evaluator(population)
         assert evaluator._spaces[1][0] == 3  # the helper scored its blocks
-        monkeypatch.setattr(ga, "_HELPER", None)
+        monkeypatch.setattr(ga, "_HELPER_MIN_PASS", math.inf)  # serial scoring
         want = FitnessEvaluator(ds, shape)(population)
         assert got.tobytes() == want.tobytes()
         assert got[-1] == -np.inf
@@ -477,6 +497,82 @@ class TestFitness:
             os.waitpid(pid, 0)
         assert got == want
 
+    def test_the_helper_is_made_by_the_first_call_past_the_gate(self, monkeypatch):
+        # a call whose passes are short scores on the calling thread and
+        # makes no helper; the first call past the gate makes one, on two
+        # CPUs, and scores the same bits; on one CPU none is made
+        ds, shape, population = edge_population("identity", 6)
+        blocks_of(3, ds, shape, monkeypatch)
+        monkeypatch.setattr(ga, "_HELPER", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        evaluator = FitnessEvaluator(ds, shape)
+        want = evaluator(population)
+        assert ga._HELPER is None
+        monkeypatch.setattr(ga, "_HELPER_MIN_PASS", 0)
+        got = evaluator(population)
+        made = ga._HELPER
+        try:
+            assert made is not None and evaluator._spaces[1][0] == 3
+            assert got.tobytes() == want.tobytes()
+        finally:
+            if made is not None:
+                made.shutdown()
+        monkeypatch.setattr(ga, "_HELPER", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        evaluator = FitnessEvaluator(ds, shape)
+        assert evaluator(population).tobytes() == want.tobytes()
+        assert ga._HELPER is None and evaluator._spaces[1] == (0, None, None)
+
+    def test_concurrent_first_callers_make_one_helper(self, monkeypatch):
+        # more first callers than cores, switching as often as possible:
+        # one executor is made, and every result equals serial scoring
+        ds, shape, population = edge_population("identity", 8)
+        blocks_of(1, ds, shape, monkeypatch)
+        want = FitnessEvaluator(ds, shape)(population).tobytes()
+        made = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(ga, "_HELPER", None)
+        monkeypatch.setattr(ga, "_HELPER_MIN_PASS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        results = []
+        start = threading.Barrier(4)
+
+        def caller():
+            evaluator = FitnessEvaluator(ds, shape)
+            start.wait(timeout=60)
+            results.extend(evaluator(population).tobytes() for _ in range(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(made) == 1 and ga._HELPER is made[0]
+        assert results == [want] * 20
+
+    def test_importing_the_cli_leaves_the_helper_unmade(self):
+        # a fresh process: concurrent.futures (and the logging it pulls
+        # in) is imported only by the first call that hands off a block
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ga.__file__)))
+        code = "import sys, wtanet.cli; sys.exit('concurrent.futures' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
+
     def test_buffers_are_sized_by_the_rows_a_worker_scores(self):
         # no buffer at construction, though a block holds 16,666 here; the
         # first call sizes the caller's, a larger one grows it
@@ -489,6 +585,8 @@ class TestFitness:
         evaluator(genes[:5])
         rows, product, offsets = evaluator._spaces[0]
         assert (rows, product.shape, offsets.shape) == (5, (5, 30), (5, 30))
+        # unit 0's activations of the (M, block, N) product, flat
+        assert (offsets.ravel() == np.arange(150)).all()
         evaluator(genes[:3])
         assert evaluator._spaces[0][1] is product
         evaluator(genes)
@@ -570,24 +668,38 @@ class TestEvolveGeneration:
         assert children[0].tobytes() == best_two[0].tobytes()
         assert children[1].tobytes() == best_two[1].tobytes()
 
-    @pytest.mark.parametrize("crossover_rate", [0.0, 0.5, 1.0])
-    def test_matches_generation_major_reference(self, crossover_rate):
+    @pytest.mark.parametrize("settings", [
+        pytest.param({"crossover_rate": 0.0}, id="0.0"),
+        pytest.param({"crossover_rate": 0.5}, id="0.5"),
+        pytest.param({"crossover_rate": 1.0}, id="1.0"),
+        pytest.param({"elitism_count": 0}, id="elitism-0"),
+        pytest.param({"tournament_size": 1}, id="tournament-1"),
+        pytest.param({"blx_alpha": 0.0}, id="alpha-0"),
+        pytest.param({"mutation_rate": 0.0}, id="mutation-0"),
+        pytest.param({"mutation_rate": 1.0}, id="mutation-1"),
+    ])
+    def test_matches_generation_major_reference(self, settings):
         rng_pop = np.random.default_rng(9)
         population = rng_pop.uniform(-1, 1, size=(12, 7))
         # rounded fitness makes tournament and better-parent ties common
         evaluator = lambda pop: -np.round(np.sum(pop ** 2, axis=1), 1)
-        config = GaConfig(
-            population_size=12, elitism_count=2, tournament_size=3,
-            crossover_rate=crossover_rate, mutation_rate=0.3,
-        )
+        config = GaConfig(**{
+            "population_size": 12, "elitism_count": 2, "tournament_size": 3,
+            "crossover_rate": 0.5, "mutation_rate": 0.3, **settings,
+        })
+        known_children = 0
         for gen_seed in range(5):
             a, b = np.random.default_rng(gen_seed), np.random.default_rng(gen_seed)
             fits = evaluator(population)
-            got, _ = _next_population(population, fits, config, a, 0.2)
-            want = reference_next_population(population, fits, config, b, 0.2)
+            got, known = _next_population(population, fits, config, a, 0.2)
+            want, want_known = reference_next_population(population, fits, config, b, 0.2)
             assert got.tobytes() == want.tobytes()
+            assert known.tobytes() == want_known.tobytes()
             assert a.random() == b.random()  # the stream stays in step
+            known_children += np.count_nonzero(~np.isnan(known[config.elitism_count:]))
             population = got
+        # every setting but certain mutation leaves some child's fitness known
+        assert (known_children == 0) == (config.mutation_rate == 1.0)
 
 
 class TestTrain:
