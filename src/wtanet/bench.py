@@ -338,8 +338,6 @@ def least_squares_oracle(dataset: Dataset, spec: ExpansionSpec) -> OracleFit:
 
 def _model_labels(model: WtaModel, data: Dataset) -> np.ndarray:
     # the file's first-appearance label ids, in the model's label order
-    if model.class_names is None or data.label_names is None:
-        return data.targets
     position = {name: i for i, name in enumerate(model.class_names)}
     unknown = [n for n in data.label_names if n not in position]
     if unknown:
@@ -352,9 +350,8 @@ def _evaluate_model(model: WtaModel, data: Dataset) -> tuple[dict, list | None, 
     _, outputs = predict(model, data.inputs)
     if model.shape.mode == CLASSIFICATION:
         targets = _model_labels(model, data)
-        n_classes = len(model.class_names) if model.class_names is not None else None
         metrics = {"accuracy": accuracy(outputs, targets)}
-        confusion = confusion_matrix(outputs, targets, n_classes=n_classes).tolist()
+        confusion = confusion_matrix(outputs, targets, len(model.class_names)).tolist()
         return metrics, confusion, outputs
     metrics = {
         "rmse": rmse(outputs, data.targets),

@@ -25,9 +25,9 @@ from .data import (
     gen_mackey_glass,
     gen_noisy,
     load_csv,
-    _parse_features,
-    _read_columns,
-    _repr_cells,
+    parse_features,
+    read_columns,
+    repr_cells,
     load_features,
     series_to_csv,
     dataset_to_csv,
@@ -122,7 +122,7 @@ def _read_instance(name, path, k) -> dict:
         doc = read_json(path, "instance file")
         doc = {vectors[0]: doc} if isinstance(doc, list) else doc
     else:
-        raw = _parse_features(_read_columns(path), None)[1]
+        raw = parse_features(read_columns(path), None)[1]
         raw = raw.T if len(vectors) == 1 and raw.shape[1] == 1 else raw
         if len(raw) != len(vectors):
             shape = "one row or column" if len(vectors) == 1 else f"{len(vectors)} rows"
@@ -153,17 +153,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_serving_model(path):
-    model = load_model(path)
-    if model.normalization is None:
-        print(f"warning: model {path} records no training normalization; "
-              "the data file is normalized by its own range",
-              file=sys.stderr)
-    return model
-
-
 def _cmd_eval(args) -> int:
-    model = _load_serving_model(args.model)
+    model = load_model(args.model)
     dataset = load_csv(
         args.data,
         target_column=args.target_column,
@@ -179,7 +170,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = _load_serving_model(args.model)
+    model = load_model(args.model)
     columns, inputs = load_features(
         args.data,
         drop_column=args.target_column,
@@ -190,7 +181,7 @@ def _cmd_predict(args) -> int:
     if model.class_names is not None:
         outputs = [model.class_names[c] for c in outputs.tolist()]
     else:
-        outputs = _repr_cells(outputs)
+        outputs = repr_cells(outputs)
     write_csv(args.output, [*columns, outputs])
     if not args.quiet:
         print(f"wrote {len(outputs)} predictions to {args.output}")

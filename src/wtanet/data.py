@@ -187,7 +187,7 @@ def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
     return rows
 
 
-def _read_columns(path, header: bool = False) -> list[tuple[str, ...]]:
+def read_columns(path, header: bool = False) -> list[tuple[str, ...]]:
     """The cells of a CSV file's data rows, one tuple per column."""
     rows = read_csv_matrix(path, header=header)
     return [tuple(map(itemgetter(c), rows)) for c in range(len(rows[0]))]
@@ -235,8 +235,8 @@ def _column_index(width: int, column: int, name: str) -> int:
     return index
 
 
-def _parse_features(columns: list[tuple[str, ...]],
-                    drop: int | None) -> tuple[list[int], np.ndarray]:
+def parse_features(columns: list[tuple[str, ...]],
+                   drop: int | None) -> tuple[list[int], np.ndarray]:
     """Indices of the feature columns (all but ``drop``) and their raw values."""
     feature_cols = [c for c in range(len(columns)) if c != drop]
     if not feature_cols:
@@ -248,13 +248,13 @@ def load_csv(path, *, target_column: int = -1, mode: str,
              header: bool = False, normalization=None) -> Dataset:
     """Load a UCI-style CSV file into a normalized Dataset.
 
-    Numeric features are parsed as 64-bit floats and min-max normalized,
-    by the file's own per-feature range unless ``normalization`` gives
-    the (min, max) pairs to apply (a trained model's, when serving).
-    Classification targets are mapped to dense labels 0..C-1 in
-    first-appearance order; the original labels are kept in
-    ``label_names``.  Row/column numbers in diagnostics are 1-based over
-    the data rows.
+    Numeric features are parsed as 64-bit floats and min-max normalized:
+    by the file's own per-feature range when ``normalization`` is left out
+    (training ingest, whose range the model records), else by the given
+    (min, max) pairs (``eval``, with the model's).  Classification
+    targets are mapped to dense labels 0..C-1 in first-appearance order;
+    the original labels are kept in ``label_names``.  Row/column numbers
+    in diagnostics are 1-based over the data rows.
 
     Args:
         path: CSV file (RFC-4180-style, comma separated, UTF-8).
@@ -264,9 +264,9 @@ def load_csv(path, *, target_column: int = -1, mode: str,
         normalization: optional (n, 2) per-feature (min, max) pairs.
     """
     _check_mode(mode)
-    columns = _read_columns(path, header)
+    columns = read_columns(path, header)
     target = _column_index(len(columns), target_column, "target_column")
-    _, raw = _parse_features(columns, target)
+    _, raw = parse_features(columns, target)
     if mode == REGRESSION:
         return _dataset(raw, _numbers(columns, [target])[:, 0], mode, f"csv:{path}",
                         normalization=normalization)
@@ -277,20 +277,20 @@ def load_csv(path, *, target_column: int = -1, mode: str,
                     label_names=tuple(label_ids))
 
 
-def load_features(path, *, drop_column: int | None = None, header: bool = False,
-                  normalization=None) -> tuple[list[tuple[str, ...]], np.ndarray]:
+def load_features(path, *, normalization, drop_column: int | None = None,
+                  header: bool = False) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Read the feature columns of a CSV file for prediction.
 
     Every column except ``drop_column`` (none when None) is a feature.
     Returns the feature columns' cells as read, one tuple per column,
-    and the features normalized like :func:`load_csv` does.
+    and the features normalized by ``normalization``, the (n, 2)
+    (min, max) pairs of the model that ``predict`` serves.
     """
-    columns = _read_columns(path, header)
+    columns = read_columns(path, header)
     drop = None if drop_column is None \
         else _column_index(len(columns), drop_column, "target_column")
-    feature_cols, raw = _parse_features(columns, drop)
-    norm = _feature_ranges(raw) if normalization is None else normalization
-    return [columns[c] for c in feature_cols], normalize(raw, norm)
+    feature_cols, raw = parse_features(columns, drop)
+    return [columns[c] for c in feature_cols], normalize(raw, normalization)
 
 
 def _round_half_up(x: float) -> int:
@@ -498,7 +498,7 @@ def write_csv(path, columns, header=None) -> None:
         fh.write("\r\n".join(lines))
 
 
-def _repr_cells(values: np.ndarray) -> list[str]:
+def repr_cells(values: np.ndarray) -> list[str]:
     """Numbers as CSV cells; a float's repr is its shortest round-tripping text."""
     return list(map(repr, values.tolist()))
 
@@ -508,19 +508,19 @@ def dataset_to_csv(dataset: Dataset, path, *, header: bool = False) -> None:
     if dataset.mode == CLASSIFICATION and dataset.label_names is not None:
         targets = [dataset.label_names[t] for t in dataset.targets.tolist()]
     else:
-        targets = _repr_cells(dataset.targets)
-    columns = [_repr_cells(column) for column in dataset.denormalized_inputs().T]
+        targets = repr_cells(dataset.targets)
+    columns = [repr_cells(column) for column in dataset.denormalized_inputs().T]
     names = [f"x{i}" for i in range(dataset.n_features)] + ["target"]
     write_csv(path, [*columns, targets], names if header else None)
 
 
 def series_to_csv(series, path, *, header: bool = False) -> None:
     """Write a scalar series as a one-column CSV."""
-    values = _repr_cells(np.asarray(series, dtype=np.float64))
+    values = repr_cells(np.asarray(series, dtype=np.float64))
     write_csv(path, [values], ["value"] if header else None)
 
 
 def load_series_csv(path, *, column: int = 0, header: bool = False) -> np.ndarray:
     """Read one numeric column of a CSV file as a scalar series."""
-    columns = _read_columns(path, header)
+    columns = read_columns(path, header)
     return _numbers(columns, [_column_index(len(columns), column, "column")])[:, 0]

@@ -45,7 +45,7 @@ def accuracy(predictions, targets) -> float:
     return float(np.mean(p == t))
 
 
-def confusion_matrix(predictions, targets, n_classes: int | None = None) -> np.ndarray:
+def confusion_matrix(predictions, targets, n_classes: int) -> np.ndarray:
     """Counts indexed [true class, predicted class]; rows sum to per-class counts."""
     p = np.asarray(predictions, dtype=np.int64)
     t = np.asarray(targets, dtype=np.int64)
@@ -53,8 +53,6 @@ def confusion_matrix(predictions, targets, n_classes: int | None = None) -> np.n
         raise ValueError(f"length mismatch: predictions {p.shape} vs targets {t.shape}")
     if p.size == 0:
         raise ValueError("empty metric inputs")
-    if n_classes is None:
-        n_classes = int(max(p.max(), t.max())) + 1
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
     return counts

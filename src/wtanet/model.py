@@ -115,12 +115,10 @@ class WtaModel:
         shape: the model's layout, checked by ModelShape itself.
         excitatory: (M, m) matrix, row j is unit j's excitatory weights.
         inhibitory: (M, m) matrix, row j is unit j's inhibitory weights.
-        class_names: optional original label strings, index = dense label
-            (classification only).
+        class_names: original label strings, index = dense label
+            (classification only; a saved classifier needs them).
         normalization: (n, 2) per-feature (min, max) of the training data,
-            which serving applies to raw inputs; None when unknown
-            (format-version-1 files), and serving then normalizes each
-            file by its own range.
+            which serving applies to raw inputs (a saved model needs it).
     """
 
     def __init__(self, shape: ModelShape, excitatory, inhibitory,
@@ -144,10 +142,11 @@ class WtaModel:
         if normalization is not None:
             normalization = np.array(normalization, dtype=np.float64, copy=True)
             if normalization.shape != (shape.spec.input_dim, 2) \
-                    or not np.isfinite(normalization).all():
+                    or not np.isfinite(normalization).all() \
+                    or (normalization[:, 0] > normalization[:, 1]).any():
                 raise ValueError(
-                    f"normalization must be finite with shape ({shape.spec.input_dim}, 2), "
-                    f"got {normalization.shape}"
+                    f"normalization must be finite (min, max) pairs with min <= max "
+                    f"and shape ({shape.spec.input_dim}, 2), got {normalization.tolist()}"
                 )
             normalization.setflags(write=False)
 
@@ -195,6 +194,11 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def model_to_dict(model: WtaModel) -> dict:
+    """The model's JSON document, which needs the serving metadata of a saved model."""
+    if model.normalization is None:
+        raise ValueError("a saved model needs its training normalization")
+    if model.shape.mode == CLASSIFICATION and model.class_names is None:
+        raise ValueError("a saved classifier needs its class_names")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "spec": asdict(model.shape.spec),
@@ -204,12 +208,10 @@ def model_to_dict(model: WtaModel) -> dict:
             {"v": model.excitatory[j].tolist(), "w": model.inhibitory[j].tolist()}
             for j in range(model.shape.n_units)
         ],
-        "normalization": None if model.normalization is None
-        else model.normalization.tolist(),
+        "normalization": model.normalization.tolist(),
     }
-    if model.shape.class_of_unit is not None:
+    if model.shape.mode == CLASSIFICATION:
         doc["class_of_unit"] = list(model.shape.class_of_unit)
-    if model.class_names is not None:
         doc["class_names"] = list(model.class_names)
     return doc
 
@@ -222,14 +224,14 @@ class UnitWeights:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """A model file's keys, parsed strictly; version 1 has no normalization."""
+    """A model file's keys, parsed strictly; a classifier's also needs class_names."""
 
-    format_version: Literal[1, 2]
+    format_version: Literal[2]
     spec: ExpansionSpec
     mode: Literal["regression", "classification"]
     output_activation: Literal["identity", "logistic"]
     units: tuple[UnitWeights, ...]
-    normalization: tuple[tuple[float, float], ...] | None = None
+    normalization: tuple[tuple[float, float], ...]
     class_of_unit: tuple[int, ...] | None = None
     class_names: tuple[str, ...] | None = None
 
@@ -239,6 +241,8 @@ def model_from_dict(doc) -> WtaModel:
     model = parse(ModelFile, doc, "model")
     shape = ModelShape(model.spec, len(model.units), model.mode, model.output_activation,
                        model.class_of_unit)
+    if shape.mode == CLASSIFICATION and model.class_names is None:
+        raise ValueError("missing key model.class_names")
     return WtaModel(shape, _unit_weights(model.units, "v"), _unit_weights(model.units, "w"),
                     class_names=model.class_names, normalization=model.normalization)
 
@@ -258,8 +262,9 @@ def _unit_weights(units: tuple[UnitWeights, ...], key: str) -> np.ndarray:
 
 def save_model(model: WtaModel, path) -> None:
     """Write the model as JSON; floats keep full round-trip precision."""
+    doc = model_to_dict(model)  # before opening: a refused model leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

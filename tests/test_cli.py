@@ -258,10 +258,8 @@ def test_fuzzed_model_file_serves_or_fails_with_one_error_line(tmp_path, capsys,
         ["eval"], ["predict", "--target-column", "-1", "-o", f"{work}/pred.csv"]]))
     code, _, err = run_cli(capsys, command[0], f"{work}/model.json",
                            f"{work}/data.csv", *command[1:])
-    # a version-1 model that loads warns first
-    error = r"error:data: [^\n]*\n" if code else ""
-    assert code in (0, 1)
-    assert re.fullmatch(rf"(warning:[^\n]*\n)?{error}", err), err
+    assert (code, err) == (0, "") or (
+        code == 1 and re.fullmatch(r"error:data: [^\n]*\n", err)), err
 
 
 FUZZ_INSTANCES = {
@@ -360,7 +358,7 @@ def test_fuzzed_data_csv_serves_or_fails_with_one_error_line(tmp_path, capsys, d
                 json.loads(out, parse_constant=no_constant)
         else:
             assert code == 1
-            assert re.fullmatch(r"(warning:[^\n]*\n)?error:[a-z]+: [^\n]*\n", err), err
+            assert re.fullmatch(r"error:[a-z]+: [^\n]*\n", err), err
 
 
 FUZZ_CSV_INSTANCES = {
@@ -666,20 +664,6 @@ class TestServingNormalization:
         assert scores["rmse"] == rmse(outputs, targets)
         assert scores["mae"] == mae(outputs, targets)
 
-    def test_version_one_model_warns_once(self, tmp_path, capsys, f1_model):
-        doc = json.loads(f1_model.read_text())
-        doc["format_version"] = 1
-        del doc["normalization"]
-        old = tmp_path / "v1.json"
-        old.write_text(json.dumps(doc))
-        data = tmp_path / "data.csv"
-        data.write_text("0.2\n0.6\n")
-        code, _, err = run_cli(capsys, "predict", str(old), str(data),
-                               "-o", str(tmp_path / "out.csv"))
-        assert code == 0
-        assert len(err.splitlines()) == 1
-        assert err.startswith("warning:")
-
 
 class TestNonFiniteOutputs:
     @pytest.fixture
@@ -902,7 +886,16 @@ CLASSIFIER = {"mode": "classification",
     (model_file_text(units=[{"v": {"a": 1}, "w": [0.5, 0.0]}]),
      "model.units[0].v must be a list, got an object"),
     (model_file_text(format_version=True),
-     "model.format_version must be one of 1, 2, got true"),
+     "model.format_version must be one of 2, got true"),
+    # a version-1 file has no normalization
+    (model_file_text("normalization", format_version=1),
+     "model.format_version must be one of 2, got 1"),
+    (model_file_text(normalization=None), "model.normalization must be a list, got null"),
+    (model_file_text("normalization"), "missing key model.normalization"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 1]), "missing key model.class_names"),
+    (model_file_text(normalization=[[1.0, 0.0]]),
+     "normalization must be finite (min, max) pairs with min <= max and shape (1, 2), "
+     "got [[1.0, 0.0]]"),
     (model_file_text(**CLASSIFIER, class_of_unit=[0.7, 1.2]),
      "model.class_of_unit[0] must be an int, got 0.7"),
     (model_file_text(**CLASSIFIER, class_of_unit=["0", "1"]),
@@ -937,7 +930,9 @@ CLASSIFIER = {"mode": "classification",
      "classification models take no output activation"),
 ], ids=["list", "string", "truncated", "no-units", "no-mode", "no-spec",
         "no-output-activation", "unit-no-v", "unit-no-w", "units-number",
-        "unit-number", "v-object", "version-bool", "class-fraction", "class-string",
+        "unit-number", "v-object", "version-bool", "version-1", "normalization-null",
+        "no-normalization", "classifier-no-names", "normalization-reversed",
+        "class-fraction", "class-string",
         "class-number", "names-string", "names-numbers", "names-number",
         "class-out-of-range", "normalization-strings", "normalization-bools",
         "unknown-key", "unit-unknown-key", "weight-strings", "weight-bool",

@@ -50,7 +50,7 @@ class TestLoadCsv:
         path = tmp_path / "rows.csv"
         path.write_text("1.50,x,3\n2.50,y,5\n")
         with pytest.raises(ValueError, match="row 1, column 2"):
-            load_features(path)
+            load_features(path, normalization=[[0.0, 1.0]] * 3)
         cells, inputs = load_features(path, drop_column=1,
                                       normalization=[[1.0, 3.0], [3.0, 7.0]])
         assert cells == [("1.50", "2.50"), ("3", "5")]

@@ -26,14 +26,15 @@ def predict_one(model, s):
     return int(winners[0]), model.excitatory @ expand(model.shape.spec, s), outputs[0]
 
 
-def random_model(rng, n=2, order=2, n_units=3, output_activation="identity", **kwargs):
+def random_model(rng, n=2, order=2, n_units=3, output_activation="identity",
+                 normalization=None):
     spec = ExpansionSpec(input_dim=n, order=order)
     m = n * (2 * order + 1) + 1
     return WtaModel(
         ModelShape(spec, n_units, output_activation=output_activation),
         rng.uniform(-1, 1, size=(n_units, m)),
         rng.uniform(-1, 1, size=(n_units, m)),
-        **kwargs,
+        normalization=[[0.0, 1.0]] * n if normalization is None else normalization,
     )
 
 
@@ -213,6 +214,16 @@ class TestModelValidation:
             WtaModel(ModelShape(spec, 1), np.zeros((1, 2)), np.zeros((1, 2)),
                      normalization=[[0.0, 1.0]])
 
+    def test_normalization_pairs_must_not_be_reversed(self):
+        # min == max is a constant training feature, which serving maps to 0.0
+        spec = raw_passthrough_spec(2)
+        model = WtaModel(ModelShape(spec, 1), np.zeros((1, 2)), np.zeros((1, 2)),
+                         normalization=[[0.5, 0.5], [0.0, 1.0]])
+        assert model.normalization.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="min <= max"):
+            WtaModel(ModelShape(spec, 1), np.zeros((1, 2)), np.zeros((1, 2)),
+                     normalization=[[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestSerialization:
     def test_round_trip_reproduces_forward_bit_exactly(self, tmp_path):
@@ -232,7 +243,7 @@ class TestSerialization:
         model = WtaModel(
             ModelShape(spec, 2, mode="classification", class_of_unit=[0, 1]),
             [[1, 0], [0, 1]], np.zeros((2, 2)),
-            class_names=["cat", "dog"],
+            class_names=["cat", "dog"], normalization=[[0.0, 1.0], [2.0, 5.0]],
         )
         path = tmp_path / "clf.json"
         save_model(model, path)
@@ -250,7 +261,8 @@ class TestSerialization:
 
     def test_format_version_checked(self):
         doc = model_to_dict(WtaModel(
-            ModelShape(raw_passthrough_spec(1), 1), [[1.0]], [[0.0]]
+            ModelShape(raw_passthrough_spec(1), 1), [[1.0]], [[0.0]],
+            normalization=[[0.0, 1.0]],
         ))
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="format_version"):
@@ -272,9 +284,16 @@ class TestSerialization:
         assert clone.inhibitory.tobytes() == model.inhibitory.tobytes()
         assert clone.normalization.tobytes() == model.normalization.tobytes()
 
-    def test_version_one_document_loads_without_normalization(self):
-        rng = np.random.default_rng(13)
-        doc = model_to_dict(random_model(rng, normalization=[[0, 2], [0, 3]]))
-        doc["format_version"] = 1
-        del doc["normalization"]
-        assert model_from_dict(doc).normalization is None
+    def test_save_refuses_a_model_without_serving_metadata(self, tmp_path):
+        # the reader rejects such a file, so the writer must not make one
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="normalization"):
+            save_model(WtaModel(ModelShape(raw_passthrough_spec(1), 1), [[1.0]], [[0.0]]),
+                       path)
+        with pytest.raises(ValueError, match="class_names"):
+            save_model(WtaModel(
+                ModelShape(raw_passthrough_spec(1), 2, mode="classification",
+                           class_of_unit=[0, 1]),
+                [[1.0], [0.5]], np.zeros((2, 1)), normalization=[[0.0, 1.0]],
+            ), path)
+        assert not path.exists()
