@@ -201,7 +201,7 @@ def _bad_cell(cells: list[tuple[str, ...]]) -> tuple[int, int]:
                 float(cell)
             except ValueError:
                 return r, j
-            if "_" in cell:
+            if "_" in cell or not cell.isascii():
                 return r, j
     raise AssertionError("every cell is a number")
 
@@ -210,8 +210,9 @@ def _numbers(columns: list[tuple[str, ...]], picks: list[int]) -> np.ndarray:
     """The ``picks`` columns as an (N, len(picks)) matrix of finite floats."""
     cells = [columns[c] for c in picks]
     try:
-        # float() also takes digit-group underscores ('1_0' is 10.0); numeric cells do not
-        if any("_" in "".join(column) for column in cells):
+        # float() also takes digit-group underscores ('1_0' is 10.0) and non-ASCII
+        # digits and spaces ('１２' is 12.0); numeric cells do not
+        if any("_" in joined or not joined.isascii() for joined in map("".join, cells)):
             raise ValueError
         # a flat list: numpy converts a nested one about twice as slowly
         raw = np.array([float(cell) for column in cells for cell in column])
@@ -417,8 +418,8 @@ def gen_noisy(which: str, sigma: float, n_samples: int, seed: int,
     Draw order is fixed (inputs first, then the noise vector), so
     ``sigma=0`` reproduces :func:`gen_function` bit-for-bit.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if noise not in (NOISE_CONSTANT, NOISE_LINEAR):
         raise ValueError(
             f"noise must be {NOISE_CONSTANT!r} or {NOISE_LINEAR!r}, got {noise!r}"

@@ -29,34 +29,30 @@ at these skinny shapes and rounds some fitness values differently.
 Its rows go unit first, then chromosome, so each unit's activations
 over a block are one contiguous run, and the winner's inhibition is
 gathered at winner * block * N + np.arange(block * N).  Each worker
-writes its blocks' products into one buffer of its own, allocated on
-first use and reused by every later block: fresh products per block
-fault in every page they touch.
+writes its blocks' products into one buffer of its own, reused by every
+later block: fresh products per block fault in every page they touch.
 
-Where this process may run on two CPUs or more, one helper thread,
-made on first use, scores blocks 1, 3, 5, ... of a call while the
-calling thread scores blocks 0, 2, 4, ...; numpy releases the GIL
-inside each pass.  It does so only when a call has two blocks or more
-and each block's elementwise passes cover at least 20,000 elements
-(block * N).  Timed on two cores, trainings at the c08 shape (4 x 7000
-a pass) and at N of 12,000 to 20,000 gained, while c07's (11 x 1047)
-and serving's set-up training (23 x 700) lost to the hand-off.  A
-chromosome's fitness does not depend on its block or on the thread
-that scores it.
+Where this process may run on two CPUs or more and each block's
+elementwise passes cover at least 20,000 elements (block * N),
+:func:`train` makes one helper thread for that training and shuts it
+down when the training returns or raises.  The helper scores blocks 1,
+3, 5, ... of a call of two blocks or more while the calling thread
+scores blocks 0, 2, 4, ...; numpy releases the GIL inside each pass.
+Timed on two cores, trainings at the c08 shape (4 x 7000 a pass) and at
+N of 12,000 to 20,000 gained, while c07's (11 x 1047) and serving's
+set-up training (23 x 700) lost to the hand-off.  A chromosome's
+fitness does not depend on its block or on the thread that scores it.
 
 Reruns are bit-identical, on one BLAS thread or several and on one CPU
-or two.  Trajectories, model files and traces equal those of the
-chromosome-first product order before the unit-first one, theirs those
-of the one-byte winner codes before the multiply-add block rule, and
-theirs those of the intp winners before them; byte identity with older
-versions is not promised: the draw order changed from member-major to
-generation-major, and the block product may round differently.
+or two.  Byte identity with older versions is not promised: the draw
+order changed from member-major to generation-major, and the block
+product may round differently.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,41 +67,9 @@ WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
 # module docstring): 4 chromosomes a block at the c08 shape, 11 at c07's
 _BLOCK_MULTIPLY_ADDS = 10**6
 
-# the fewest elements, block * N, in one pass of a block for which a call
-# hands every other block to the helper (see the module docstring)
+# the fewest elements, block * N, in one pass of a block for which a
+# training makes a helper (see the module docstring)
 _HELPER_MIN_PASS = 20_000
-
-
-_HELPER = None  # the helper's ThreadPoolExecutor, once _helper() has made it
-_HELPER_LOCK = threading.Lock()
-
-
-def _helper():
-    """The helper executor, made on first use; None on one CPU.
-
-    Made lazily, so that a process that never scores a long block does
-    not import concurrent.futures.
-    """
-    global _HELPER
-    with _HELPER_LOCK:
-        if _HELPER is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            if cpus >= 2:
-                from concurrent.futures import ThreadPoolExecutor
-                _HELPER = ThreadPoolExecutor(1, thread_name_prefix="wtanet-fitness")
-        return _HELPER
-
-
-def _forget_helper() -> None:
-    # a forked child inherits the executor but not its thread, which would
-    # leave its blocks unscored, and maybe a lock some other thread held
-    global _HELPER, _HELPER_LOCK
-    _HELPER, _HELPER_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
 
 
 @dataclass(frozen=True)
@@ -192,14 +156,15 @@ class FitnessEvaluator:
     (classification: any non-finite excitation) yields the
     worst-fitness sentinel instead of raising.
 
-    A call with two blocks or more whose passes cover at least
-    ``_HELPER_MIN_PASS`` elements (block * N) hands blocks 1, 3, 5, ...
-    to the module's helper thread, where there is one, and scores
-    blocks 0, 2, 4, ... itself; it returns, or raises, only once the
-    helper is done.  Each of the two workers has its own product buffer
-    and gather offsets, sized by the largest block it has scored, so
-    the helper's exist only where it has run.  One call at a time: an
-    evaluator is not safe to call from two threads at once.
+    A call scores serially unless it is handed ``helper``, an executor
+    with one worker (:func:`train` makes it); then a call with two
+    blocks or more hands blocks 1, 3, 5, ... to it and scores blocks 0,
+    2, 4, ... itself, and returns, or raises, only once the helper is
+    done.  Each worker has its own product buffer and both share the
+    gather offsets; the calling thread sizes them before any hand-off,
+    so the helper's buffer exists only where a call has handed off.
+    One call at a time: an evaluator is not safe to call from two
+    threads at once.
     """
 
     def __init__(self, dataset: Dataset, shape: ModelShape):
@@ -231,11 +196,11 @@ class FitnessEvaluator:
         self._code = np.min_scalar_type(shape.n_units - 1).type
         self._block = max(1, _BLOCK_MULTIPLY_ADDS
                           // (shape.n_units * shape.pattern_dim * dataset.n_samples))
-        # per worker (0: the calling thread, 1: the helper): the chromosomes
-        # its buffers hold, its product buffer and its gather offsets
-        self._spaces = [(0, None, None), (0, None, None)]
+        # the chromosomes the buffers hold, a product buffer per worker (0:
+        # the calling thread, 1: the helper) and the shared gather offsets
+        self._rows, self._products, self._offsets = 0, [], None
 
-    def __call__(self, genes):
+    def __call__(self, genes, helper=None):
         genes = np.asarray(genes, dtype=np.float64)
         n_genes = self.shape.n_genes
         if genes.shape[-1:] != (n_genes,):
@@ -246,9 +211,9 @@ class FitnessEvaluator:
         flat = genes.reshape(-1, n_genes)
         fits = np.empty(flat.shape[0])
         starts = range(0, flat.shape[0], self._block)
-        helper = None
-        if len(starts) >= 2 and self._block * self._design_t.shape[1] >= _HELPER_MIN_PASS:
-            helper = _helper()
+        if len(starts) < 2:
+            helper = None
+        self._size_buffers(min(self._block, flat.shape[0]), 1 if helper is None else 2)
         if helper is None:
             self._score_blocks(flat, fits, starts, 0)
         else:
@@ -275,31 +240,31 @@ class FitnessEvaluator:
                 stop = start + self._block
                 fits[start:stop] = self._score_block(flat[start:stop], worker)
 
-    def _workspace(self, worker: int, rows: int):
-        """``worker``'s product buffer and gather offsets for ``rows`` chromosomes.
+    def _size_buffers(self, rows: int, workers: int) -> None:
+        """Product buffers for ``workers`` workers and offsets for ``rows`` chromosomes.
 
-        The buffer takes a block's (M*block, N) product, unit first.  The
+        A buffer takes a block's (M*block, N) product, unit first.  The
         offsets (regression only) are np.arange(rows * N) as (rows, N), so
         ``offsets[:block]`` is np.arange(block * N): the flat index of unit
         0's activation per (chromosome, sample) in the (M, block, N)
         product, the winner's sitting winner * block * N on.  Allocated
-        when a block first needs them and grown when a later block has
-        more rows, so a worker that never runs holds nothing.
+        when a call first needs them and grown only when a later call's
+        block has more rows; the offsets are only read, so both workers
+        share them.
         """
-        capacity, product, offsets = self._spaces[worker]
-        if capacity < rows:
-            n = self._design_t.shape[1]
-            product = np.empty((rows * self.shape.n_units, n))
+        n = self._design_t.shape[1]
+        if self._rows < rows:
+            self._rows, self._products = rows, []
             if self.shape.mode != CLASSIFICATION:
-                offsets = np.arange(rows * n).reshape(rows, n)
-            self._spaces[worker] = (rows, product, offsets)
-        return product, offsets
+                self._offsets = np.arange(rows * n).reshape(rows, n)
+        while len(self._products) < workers:
+            self._products.append(np.empty((self._rows * self.shape.n_units, n)))
 
     def _score_block(self, genes: np.ndarray, worker: int) -> np.ndarray:
         n_units = self.shape.n_units
         n_samples = self._design_t.shape[1]
         half = n_units * self.shape.pattern_dim
-        product, offsets = self._workspace(worker, len(genes))
+        product = self._products[worker]
         excitation = self._activations(genes[:, :half], product)
         top = excitation[0]
         winner = np.zeros(top.shape, dtype=self._code)
@@ -324,7 +289,7 @@ class FitnessEvaluator:
         # intp before the product: numpy 1.x value-based casting would keep
         # a small code times block * N in 16 bits, which wraps past 65,535
         index = np.multiply(winner, top.size, dtype=np.intp)
-        index += offsets[:len(genes)]
+        index += self._offsets[:len(genes)]
         err = apply_activation(self.shape.output_activation, top - inhibition[index])
         err -= self.targets
         err *= err
@@ -455,44 +420,53 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
         A :class:`TrainTrace` with the decoded best-ever model.
     """
     evaluator = FitnessEvaluator(dataset, shape)
+    helper = None
+    if evaluator._block * dataset.n_samples >= _HELPER_MIN_PASS:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if cpus >= 2:
+            # imported here, so that importing wtanet does not load it
+            from concurrent.futures import ThreadPoolExecutor
+            helper = ThreadPoolExecutor(1, thread_name_prefix="wtanet-fitness")
     rng = np.random.default_rng(seed)
     lo, hi = config.init_weight_range
     population = rng.uniform(lo, hi, size=(config.population_size, shape.n_genes))
 
-    fits = evaluator(population)
-    best_idx = int(np.argmax(fits))
-    best_value = float(fits[best_idx])
-    best_genes = population[best_idx].copy()
-    best_generation = -1  # found in the initial population
+    with helper or nullcontext():  # leaving shuts the helper down, on return or raise
+        fits = evaluator(population, helper=helper)
+        best_idx = int(np.argmax(fits))
+        best_value = float(fits[best_idx])
+        best_genes = population[best_idx].copy()
+        best_generation = -1  # found in the initial population
 
-    best_trace: list[float] = []
-    mean_trace: list[float] = []
-    stalled = 0
-    stopped_early = False
-    generations_run = 0
-    sigma = config.mutation_sigma_initial
+        best_trace: list[float] = []
+        mean_trace: list[float] = []
+        stalled = 0
+        stopped_early = False
+        generations_run = 0
+        sigma = config.mutation_sigma_initial
 
-    for gen in range(config.generations):
-        population, fits = _next_population(population, fits, config, rng, sigma)
-        sigma *= config.sigma_decay
-        unknown = np.isnan(fits)
-        if unknown.any():
-            fits[unknown] = evaluator(population[unknown])
-        generations_run = gen + 1
+        for gen in range(config.generations):
+            population, fits = _next_population(population, fits, config, rng, sigma)
+            sigma *= config.sigma_decay
+            unknown = np.isnan(fits)
+            if unknown.any():
+                fits[unknown] = evaluator(population[unknown], helper=helper)
+            generations_run = gen + 1
 
-        gen_best = int(np.argmax(fits))
-        best_trace.append(float(fits[gen_best]))
-        mean_trace.append(float(np.mean(fits)))
-        if fits[gen_best] > best_value:
-            best_value = float(fits[gen_best])
-            best_genes = population[gen_best].copy()
-            best_generation = gen
-            stalled = 0
-        else:
-            stalled += 1
-        if stalled >= config.fitness_stagnation_patience:
-            stopped_early = True
-            break
+            gen_best = int(np.argmax(fits))
+            best_trace.append(float(fits[gen_best]))
+            mean_trace.append(float(np.mean(fits)))
+            if fits[gen_best] > best_value:
+                best_value = float(fits[gen_best])
+                best_genes = population[gen_best].copy()
+                best_generation = gen
+                stalled = 0
+            else:
+                stalled += 1
+            if stalled >= config.fitness_stagnation_patience:
+                stopped_early = True
+                break
 
     return TrainTrace(
         best_fitness=best_trace,

@@ -432,6 +432,15 @@ class TestSynthEvalPredict:
         assert code == 1
         assert err.startswith("error:data:")
 
+    @pytest.mark.parametrize("flag", ["--noise", "--noise-slope"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_synth_non_finite_noise_fails_with_one_error_line(self, tmp_path, capsys,
+                                                              flag, value):
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "synth", "f1", str(path), flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error:data: sigma must be finite and >= 0, got {value}\n"
+        assert not path.exists()
 
 class TestSelectCommands:
     def test_kselect_json_instance(self, tmp_path, capsys):

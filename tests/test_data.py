@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -64,6 +66,24 @@ class TestLoadCsv:
         path.write_text("1,a_b\n2,c\n")
         ds = load_csv(path, target_column=-1, mode="classification")
         assert ds.label_names == ("a_b", "c")
+
+    @pytest.mark.parametrize("cell", ["１２", "٣", "\xa012"],
+                             ids=["fullwidth", "arabic-indic", "no-break-space"])
+    def test_non_ascii_number_rejected(self, tmp_path, cell):
+        # float() reads each of these as a number ('１２' is 12.0)
+        path = tmp_path / "wide.csv"
+        path.write_text(f"1,2\n3,{cell}\n", encoding="utf-8")
+        message = f"unparseable cell at row 2, column 2: {cell!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(path, target_column=-1, mode="regression")
+
+    def test_ascii_spaces_and_plus_sign_accepted_and_labels_may_be_non_ascii(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text(" 1 ,+2,é\n\t3,+4.5 ,ü\n", encoding="utf-8")
+        ds = load_csv(path, target_column=-1, mode="classification",
+                      normalization=[[0.0, 4.0], [0.0, 5.0]])
+        np.testing.assert_array_equal(ds.inputs, [[0.25, 0.4], [0.75, 0.9]])
+        assert ds.label_names == ("é", "ü")
 
     def test_labels_dense_in_first_appearance_order(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -241,6 +261,12 @@ class TestGenerators:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             gen_noisy("f1", -0.1, 10, seed=0)
+
+    @pytest.mark.parametrize("noise", ["constant", "linear"])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma, noise):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            gen_noisy("f1", sigma, 10, seed=0, noise=noise)
 
     def test_determinism(self):
         a = gen_noisy("f2", 0.2, 30, seed=9)

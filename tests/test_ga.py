@@ -101,13 +101,44 @@ def blocks_of(count, ds, shape, monkeypatch):
 
 
 @pytest.fixture
-def helper(monkeypatch):
-    """A helper thread for every call of two blocks or more, on any host."""
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(ga, "_HELPER", pool)
+def helper():
+    """An executor with one worker, for a test to hand to evaluator calls."""
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
+
+
+def helpers_on(monkeypatch):
+    """Make every training from here on make a helper, on any host."""
     monkeypatch.setattr(ga, "_HELPER_MIN_PASS", 0)
-    yield pool
-    pool.shutdown()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def counted_executors(monkeypatch):
+    """The executors trainings make from here on, each counting its submits."""
+    made = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submitted = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return made
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("wtanet-fitness")]
+
+
+def trace_bytes(trace):
+    """A training's best genes and per-generation fitness, as bytes."""
+    fitness = np.array(trace.best_fitness + trace.mean_fitness + [trace.best_fitness_value])
+    return trace.best_genes.tobytes() + fitness.tobytes()
 
 
 def reference_next_population(population, fits, config, rng, sigma):
@@ -405,9 +436,8 @@ class TestFitness:
         ds, shape, population = edge_population(kind, 11)
         blocks_of(3, ds, shape, monkeypatch)
         evaluator = FitnessEvaluator(ds, shape)
-        got = evaluator(population)
-        assert evaluator._spaces[1][0] == 3  # the helper scored its blocks
-        monkeypatch.setattr(ga, "_HELPER_MIN_PASS", math.inf)  # serial scoring
+        got = evaluator(population, helper=helper)
+        assert len(evaluator._products) == 2  # the call handed blocks off
         want = FitnessEvaluator(ds, shape)(population)
         assert got.tobytes() == want.tobytes()
         assert got[-1] == -np.inf
@@ -422,8 +452,8 @@ class TestFitness:
         evaluator = FitnessEvaluator(ds, shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluator(population)
-        assert evaluator._spaces[1][0] == 1
+            got = evaluator(population, helper=helper)
+        assert len(evaluator._products) == 2
         assert (got == -np.inf).all()
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -443,7 +473,7 @@ class TestFitness:
 
         monkeypatch.setattr(evaluator, "_score_block", scored)
         with pytest.raises(RuntimeError, match="block failed"):
-            evaluator(population)
+            evaluator(population, helper=helper)
         assert done == [1 - failing] * 3
 
     def test_concurrent_callers_share_the_helper(self, helper, monkeypatch):
@@ -456,7 +486,8 @@ class TestFitness:
 
         def caller():
             evaluator = FitnessEvaluator(ds, shape)
-            results.extend(evaluator(population).tobytes() for _ in range(10))
+            results.extend(evaluator(population, helper=helper).tobytes()
+                           for _ in range(10))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -471,25 +502,68 @@ class TestFitness:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [want] * 40
 
+    def test_train_makes_a_helper_only_past_the_gate_on_two_cpus(self, monkeypatch):
+        # short passes or one CPU: no helper; long passes on two CPUs: one,
+        # which scores blocks and is shut down by the time train returns;
+        # all three trainings give the same bits
+        ds, shape = tiny_dataset(), tiny_shape()
+        blocks_of(3, ds, shape, monkeypatch)
+        made = counted_executors(monkeypatch)
+        config = GaConfig(population_size=12, generations=5)
+        runs = []
+        for gate, cpus in [(math.inf, {0, 1}), (0, {0}), (0, {0, 1})]:
+            monkeypatch.setattr(ga, "_HELPER_MIN_PASS", gate)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            runs.append(trace_bytes(train(shape, ds, config, 3)))
+            assert len(made) == (1 if gate == 0 and len(cpus) == 2 else 0)
+        assert made[0].submitted > 0
+        with pytest.raises(RuntimeError):
+            made[0].submit(int)  # shut down
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_no_helper_thread_outlives_a_training(self, monkeypatch):
+        ds, shape = tiny_dataset(), tiny_shape()
+        blocks_of(3, ds, shape, monkeypatch)
+        helpers_on(monkeypatch)
+        made = counted_executors(monkeypatch)
+        config = GaConfig(population_size=12, generations=3)
+        train(shape, ds, config, 0)
+        assert made[0].submitted > 0 and not helper_threads()
+
+        def failing(*args):
+            raise RuntimeError("offspring failed")
+
+        # the initial population is scored, with the helper, before the raise
+        monkeypatch.setattr(ga, "_next_population", failing)
+        with pytest.raises(RuntimeError, match="offspring failed"):
+            train(shape, ds, config, 0)
+        assert len(made) == 2 and made[1].submitted > 0
+        assert not helper_threads()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_scores_with_a_helper_of_its_own(self, helper, monkeypatch):
-        # the child inherits the executor but not its thread; without a
-        # new helper the child's first call would wait forever
-        ds, shape, population = edge_population("identity", 6)
-        blocks_of(1, ds, shape, monkeypatch)
-        evaluator = FitnessEvaluator(ds, shape)
-        want = evaluator(population).tobytes()
+    def test_a_forked_child_scores_with_a_helper_of_its_own(self, monkeypatch):
+        # the child of a process that has trained with a helper inherits
+        # no executor, and its own training makes one and gives the same bits
+        ds, shape = tiny_dataset(), tiny_shape()
+        blocks_of(3, ds, shape, monkeypatch)
+        helpers_on(monkeypatch)
+        made = counted_executors(monkeypatch)
+        config = GaConfig(population_size=12, generations=5)
+        want = trace_bytes(train(shape, ds, config, 1))
+        assert len(made) == 1
         read_end, write_end = os.pipe()
         pid = os.fork()
-        if pid == 0:  # the child: score, report, exit without pytest's teardown
+        if pid == 0:  # the child: train, report, exit without pytest's teardown
             try:
-                os.write(write_end, evaluator(population).tobytes())
+                got = trace_bytes(train(shape, ds, config, 1))
+                os.write(write_end, got if len(made) == 2 else b"no helper")
             finally:
                 os._exit(0)
         os.close(write_end)
         try:
             ready, _, _ = select.select([read_end], [], [], 60)
-            got = os.read(read_end, len(want)) if ready else b""
+            got = os.read(read_end, len(want) + 1) if ready else b""
         finally:
             os.close(read_end)
             if not ready:
@@ -497,101 +571,60 @@ class TestFitness:
             os.waitpid(pid, 0)
         assert got == want
 
-    def test_the_helper_is_made_by_the_first_call_past_the_gate(self, monkeypatch):
-        # a call whose passes are short scores on the calling thread and
-        # makes no helper; the first call past the gate makes one, on two
-        # CPUs, and scores the same bits; on one CPU none is made
-        ds, shape, population = edge_population("identity", 6)
+    def test_two_trainings_in_two_threads_give_the_serial_models(self, monkeypatch):
+        ds, shape = tiny_dataset(), tiny_shape()
         blocks_of(3, ds, shape, monkeypatch)
-        monkeypatch.setattr(ga, "_HELPER", None)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        evaluator = FitnessEvaluator(ds, shape)
-        want = evaluator(population)
-        assert ga._HELPER is None
-        monkeypatch.setattr(ga, "_HELPER_MIN_PASS", 0)
-        got = evaluator(population)
-        made = ga._HELPER
-        try:
-            assert made is not None and evaluator._spaces[1][0] == 3
-            assert got.tobytes() == want.tobytes()
-        finally:
-            if made is not None:
-                made.shutdown()
-        monkeypatch.setattr(ga, "_HELPER", None)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        evaluator = FitnessEvaluator(ds, shape)
-        assert evaluator(population).tobytes() == want.tobytes()
-        assert ga._HELPER is None and evaluator._spaces[1] == (0, None, None)
+        config = GaConfig(population_size=12, generations=10)
+        want = [trace_bytes(train(shape, ds, config, seed)) for seed in (0, 1)]
+        helpers_on(monkeypatch)
+        made = counted_executors(monkeypatch)
+        got = [None, None]
 
-    def test_concurrent_first_callers_make_one_helper(self, monkeypatch):
-        # more first callers than cores, switching as often as possible:
-        # one executor is made, and every result equals serial scoring
-        ds, shape, population = edge_population("identity", 8)
-        blocks_of(1, ds, shape, monkeypatch)
-        want = FitnessEvaluator(ds, shape)(population).tobytes()
-        made = []
-
-        class Counted(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(ga, "_HELPER", None)
-        monkeypatch.setattr(ga, "_HELPER_MIN_PASS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        results = []
-        start = threading.Barrier(4)
-
-        def caller():
-            evaluator = FitnessEvaluator(ds, shape)
-            start.wait(timeout=60)
-            results.extend(evaluator(population).tobytes() for _ in range(5))
+        def run(seed):
+            got[seed] = trace_bytes(train(shape, ds, config, seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=caller) for _ in range(4)]
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in (0, 1)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            for pool in made:
-                pool.shutdown()
         assert not any(thread.is_alive() for thread in threads)
-        assert len(made) == 1 and ga._HELPER is made[0]
-        assert results == [want] * 20
+        assert len(made) == 2 and all(pool.submitted > 0 for pool in made)
+        assert got == want
 
     def test_importing_the_cli_leaves_the_helper_unmade(self):
         # a fresh process: concurrent.futures (and the logging it pulls
-        # in) is imported only by the first call that hands off a block
+        # in) is imported only by a training that makes a helper
         src = os.path.dirname(os.path.dirname(os.path.abspath(ga.__file__)))
         code = "import sys, wtanet.cli; sys.exit('concurrent.futures' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
 
-    def test_buffers_are_sized_by_the_rows_a_worker_scores(self):
+    def test_buffers_are_sized_by_the_rows_a_worker_scores(self, helper):
         # no buffer at construction, though a block holds 16,666 here; the
-        # first call sizes the caller's, a larger one grows it
+        # first call sizes the caller's, a larger one grows it, and a call
+        # of one block makes no buffer for a helper it is handed
         ds = tiny_dataset(n=30)
         shape = tiny_shape(order=0, n_units=1)
         evaluator = FitnessEvaluator(ds, shape)
         assert evaluator._block == 16_666
-        assert evaluator._spaces == [(0, None, None)] * 2
+        assert (evaluator._rows, evaluator._products) == (0, [])
         genes = np.random.default_rng(46).uniform(-1, 1, size=(9, shape.n_genes))
         evaluator(genes[:5])
-        rows, product, offsets = evaluator._spaces[0]
-        assert (rows, product.shape, offsets.shape) == (5, (5, 30), (5, 30))
+        [product], offsets = evaluator._products, evaluator._offsets
+        assert (evaluator._rows, product.shape, offsets.shape) == (5, (5, 30), (5, 30))
         # unit 0's activations of the (M, block, N) product, flat
         assert (offsets.ravel() == np.arange(150)).all()
         evaluator(genes[:3])
-        assert evaluator._spaces[0][1] is product
-        evaluator(genes)
-        assert evaluator._spaces[0][0] == 9
-        assert evaluator._spaces[1] == (0, None, None)
+        assert evaluator._products[0] is product
+        evaluator(genes, helper=helper)
+        assert evaluator._rows == 9 and len(evaluator._products) == 1
 
     def test_fitness_shape_follows_the_genes(self):
         ds = tiny_dataset()
@@ -763,9 +796,9 @@ class TestTrain:
         scored = []
         score = FitnessEvaluator.__call__
 
-        def counting(self, genes):
+        def counting(self, genes, helper=None):
             scored.extend(g.tobytes() for g in np.atleast_2d(genes))
-            return score(self, genes)
+            return score(self, genes, helper)
 
         monkeypatch.setattr(FitnessEvaluator, "__call__", counting)
         ds = gen_noisy("f1", 0.1, 100, seed=0)
