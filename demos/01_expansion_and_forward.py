@@ -7,7 +7,7 @@ their excitatory activations.
 
 import numpy as np
 
-from wtanet import ExpansionSpec, ModelShape, WtaModel, expand, expansion_dim, predict
+from wtanet import ExpansionSpec, ModelShape, WtaModel, expand_batch, expansion_dim, predict
 
 # A one-dimensional input with three harmonics per component:
 spec = ExpansionSpec(input_dim=1, order=3)
@@ -15,7 +15,7 @@ print(f"expansion: n={spec.input_dim}, K={spec.order}, "
       f"m={expansion_dim(spec)} basis components")
 
 s = np.array([0.25])
-pattern = expand(spec, s)
+pattern = expand_batch(spec, [s])[0]  # a batch of one row
 print(f"\nraw input {s} expands to:")
 labels = ["x"] + [f"{f}(pi*{k}*x)" for k in (1, 2, 3) for f in ("sin", "cos")] \
     + ["bias"]

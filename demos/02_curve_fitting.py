@@ -13,7 +13,7 @@ from wtanet import (
     GaConfig,
     ModelShape,
     RunConfig,
-    gen_noisy,
+    gen_function,
     least_squares_oracle,
     predict,
     run_experiment,
@@ -21,7 +21,7 @@ from wtanet import (
 )
 
 # --- 1. GA vs oracle on a noisy target --------------------------------
-dataset = gen_noisy("f1", 0.1, 100, seed=42)
+dataset = gen_function("f1", 100, seed=42, sigma=0.1)
 spec = ExpansionSpec(input_dim=1, order=3)
 oracle = least_squares_oracle(dataset, spec)
 print(f"least-squares oracle RMSE (noise floor): {oracle.rmse:.4f}")

@@ -31,7 +31,6 @@ from .data import (
     dataset_to_csv,
     gen_function,
     gen_mackey_glass,
-    gen_noisy,
     load_csv,
     load_features,
     load_series_csv,
@@ -40,7 +39,7 @@ from .data import (
     split_dataset,
     window_series,
 )
-from .expansion import ExpansionSpec, expand, expand_batch, expansion_dim
+from .expansion import ExpansionSpec, expand_batch, expansion_dim
 from .ga import (
     FitnessEvaluator,
     GaConfig,
@@ -101,12 +100,10 @@ __all__ = [
     "decode",
     "density_check",
     "encode",
-    "expand",
     "expand_batch",
     "expansion_dim",
     "gen_function",
     "gen_mackey_glass",
-    "gen_noisy",
     "kwta",
     "least_squares_oracle",
     "load_csv",

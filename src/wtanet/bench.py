@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
@@ -25,7 +26,6 @@ from .data import (
     SplitSpec,
     gen_function,
     gen_mackey_glass,
-    gen_noisy,
     load_csv,
     load_series_csv,
     split_dataset,
@@ -35,11 +35,17 @@ from .expansion import ExpansionSpec, expand_batch
 from .ga import GaConfig, ModelShape, TrainTrace, train, trace_to_csv
 from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
 from .model import IDENTITY, WtaModel, predict, save_model
-from .schema import parse
+from .schema import parse, write_json
 
 DATA_SEED_OFFSET = 1
 SPLIT_SEED_OFFSET = 2
 GA_SEED_OFFSET = 3
+
+# the files a run writes into its output directory
+REPORT_FILE = "report.json"
+MODEL_FILE = "model.json"
+TRACE_FILE = "trace.csv"
+DENSITY_FILE = "density.json"
 
 
 class PhaseError(RuntimeError):
@@ -49,6 +55,15 @@ class PhaseError(RuntimeError):
         super().__init__(f"[{phase}] {message}")
         self.phase = phase
         self.message = str(message)
+
+
+@contextmanager
+def _phase(name: str, errors=ValueError):
+    """Raise the ``errors`` of the block as a PhaseError of phase ``name``."""
+    try:
+        yield
+    except errors as exc:
+        raise PhaseError(name, exc) from exc
 
 
 class DatasetSource:
@@ -116,10 +131,9 @@ class FunctionSource(DatasetSource):
     noise: Noise | None = None
 
     def load(self, mode: str, seed: int) -> Dataset:
-        if self.noise is None:
-            return gen_function(self.generator, self.n_samples, seed)
-        return gen_noisy(self.generator, self.noise.sigma, self.n_samples, seed,
-                         noise=self.noise.kind)
+        noise = {} if self.noise is None else {"sigma": self.noise.sigma,
+                                               "noise": self.noise.kind}
+        return gen_function(self.generator, self.n_samples, seed, **noise)
 
 
 @dataclass(frozen=True)
@@ -202,13 +216,9 @@ class Model:
 
 @dataclass(frozen=True)
 class Output:
-    """File names of a run; the ``--out-dir`` flag overrides ``dir``."""
+    """Where a run writes its files; the ``--out-dir`` flag overrides ``dir``."""
 
     dir: str = "."
-    report: str = "report.json"
-    model: str = "model.json"
-    trace: str = "trace.csv"
-    density: str = "density.json"
 
 
 @dataclass(frozen=True)
@@ -254,6 +264,8 @@ class RunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.density is not None and self.model.mode != REGRESSION:
             raise ValueError("the density section needs a regression model")
+        if self.model.mode == CLASSIFICATION and not isinstance(self.dataset, CsvSource):
+            raise ValueError("classification needs a CSV dataset with a class column")
 
     @classmethod
     def from_dict(cls, doc) -> "RunConfig":
@@ -371,39 +383,31 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
                    write: bool = True) -> ExperimentResult:
     """Run one experiment end to end: data, split, training, evaluation.
 
-    Writes the report JSON, model JSON and trace CSV under the config's
-    output section (``out_dir`` overrides the directory; ``write=False``
-    skips files).  Everything except wall time is a pure function of the
+    Writes the report JSON, model JSON and trace CSV into the config's
+    output directory (``out_dir`` overrides it; ``write=False`` skips
+    files).  Everything except wall time is a pure function of the
     config, so reruns produce byte-identical artifacts.
     """
     t0 = time.perf_counter()
     digest = config_digest(config)
 
-    try:
+    with _phase("data", (OSError, ValueError)):
         dataset = load_dataset(config)
-    except (OSError, ValueError) as exc:
-        raise PhaseError("data", exc) from exc
 
-    try:
+    with _phase("split"):
         train_data, test_data = split_dataset(
             dataset, config.split, config.seed + SPLIT_SEED_OFFSET
         )
-    except ValueError as exc:
-        raise PhaseError("split", exc) from exc
 
-    try:
+    with _phase("train"):
         shape = config.model.shape(config.expansion, dataset)
         trace = train(shape, train_data, config.ga, config.seed + GA_SEED_OFFSET)
-    except ValueError as exc:
-        raise PhaseError("train", exc) from exc
 
     model = WtaModel(shape, trace.model.excitatory, trace.model.inhibitory,
                      class_names=dataset.label_names, normalization=dataset.normalization)
 
-    try:
+    with _phase("evaluate"):
         metrics, confusion, outputs = _evaluate_model(model, test_data)
-    except ValueError as exc:
-        raise PhaseError("evaluate", exc) from exc
 
     if shape.mode == REGRESSION:
         train_quality = {
@@ -430,17 +434,12 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
     )
 
     if write:
-        out = config.output
-        directory = out_dir if out_dir is not None else out.dir
-        try:
+        directory = out_dir if out_dir is not None else config.output.dir
+        with _phase("write", OSError):
             os.makedirs(directory, exist_ok=True)
-            with open(os.path.join(directory, out.report), "w", encoding="utf-8") as fh:
-                json.dump(asdict(report), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            save_model(model, os.path.join(directory, out.model))
-            trace_to_csv(trace, os.path.join(directory, out.trace))
-        except OSError as exc:
-            raise PhaseError("write", exc) from exc
+            write_json(os.path.join(directory, REPORT_FILE), asdict(report))
+            save_model(model, os.path.join(directory, MODEL_FILE))
+            trace_to_csv(trace, os.path.join(directory, TRACE_FILE))
 
     return ExperimentResult(
         report=report,
@@ -501,3 +500,24 @@ def density_check(dataset: Dataset, density: Density, model: Model,
         slack=density.slack,
         non_increasing=_non_increasing(ga_rmse, density.slack),
     )
+
+
+def run_density(config: RunConfig, *,
+                out_dir: str | None = None) -> tuple[DensityReport, str]:
+    """Run the config's density check and write it; returns the report and its path.
+
+    Its phases are those of :func:`run_experiment`: data, train and write.
+    """
+    if config.density is None:
+        raise PhaseError("config", "config is missing the 'density' section")
+    with _phase("data", (OSError, ValueError)):
+        dataset = load_dataset(config)
+    with _phase("train"):
+        report = density_check(dataset, config.density, config.model,
+                               config.expansion, config.ga)
+    directory = out_dir if out_dir is not None else config.output.dir
+    path = os.path.join(directory, DENSITY_FILE)
+    with _phase("write", OSError):
+        os.makedirs(directory, exist_ok=True)
+        write_json(path, asdict(report))
+    return report, path

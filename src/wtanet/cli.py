@@ -16,14 +16,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, fields, make_dataclass, replace
+from dataclasses import fields, make_dataclass, replace
 
 from . import bench, data as datamod
 from .bench import PhaseError, RunConfig, config_digest, run_experiment
 from .data import (
     gen_function,
     gen_mackey_glass,
-    gen_noisy,
     load_csv,
     parse_features,
     read_columns,
@@ -75,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a generated dataset as CSV")
     p.add_argument("generator", choices=["f1", "f2", "mackey-glass"])
     p.add_argument("output", help="output CSV path")
-    p.add_argument("--n", type=int, default=100, help="sample count (f1/f2)")
-    p.add_argument("--length", type=int, default=1500, help="series length")
+    p.add_argument("--n", type=int, help="sample count (f1/f2, default 100)")
+    p.add_argument("--length", type=int, help="series length (mackey-glass, default 1500)")
     p.add_argument("--noise", type=float, default=None,
                    help="constant noise sigma (f1/f2)")
     p.add_argument("--noise-slope", type=float, default=None,
@@ -189,22 +188,27 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    mackey_glass = args.generator == "mackey-glass"
+    # the flags of the other kind of generator
+    other = {"--n": args.n, "--noise": args.noise, "--noise-slope": args.noise_slope} \
+        if mackey_glass else {"--length": args.length}
+    for flag, value in other.items():
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to the {args.generator} generator")
     seed = args.seed if args.seed is not None else 0
-    if args.generator == "mackey-glass":
-        series = gen_mackey_glass(args.length)
+    if mackey_glass:
+        series = gen_mackey_glass(1500 if args.length is None else args.length)
         series_to_csv(series, args.output, header=args.csv_header)
         count = len(series)
     else:
         if args.noise is not None and args.noise_slope is not None:
             raise ValueError("choose either --noise or --noise-slope, not both")
-        if args.noise is not None:
-            dataset = gen_noisy(args.generator, args.noise, args.n, seed,
-                                noise=datamod.NOISE_CONSTANT)
-        elif args.noise_slope is not None:
-            dataset = gen_noisy(args.generator, args.noise_slope, args.n, seed,
-                                noise=datamod.NOISE_LINEAR)
-        else:
-            dataset = gen_function(args.generator, args.n, seed)
+        linear = args.noise_slope is not None
+        dataset = gen_function(
+            args.generator, 100 if args.n is None else args.n, seed,
+            sigma=args.noise_slope if linear else args.noise,
+            noise=datamod.NOISE_LINEAR if linear else datamod.NOISE_CONSTANT,
+        )
         dataset_to_csv(dataset, args.output, header=args.csv_header)
         count = dataset.n_samples
     if not args.quiet:
@@ -232,18 +236,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    config = _read_config(args)
-    density = config.density
-    if density is None:
-        raise PhaseError("config", "config is missing the 'density' section")
-    report = bench.density_check(bench.load_dataset(config), density, config.model,
-                                 config.expansion, config.ga)
-    out_dir = args.out_dir if args.out_dir is not None else config.output.dir
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, config.output.density)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report, out_path = bench.run_density(_read_config(args), out_dir=args.out_dir)
     if not args.quiet:
         status = "non-increasing" if report.non_increasing else "NOT non-increasing"
         print(f"density: {status} within slack {report.slack}; wrote {out_path}")

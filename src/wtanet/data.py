@@ -378,8 +378,29 @@ def window_series(series, window: int, horizon: int = 1,
                     f"window(w={window},h={horizon})|{provenance}")
 
 
-def _generator_samples(which: str, n_samples: int,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def gen_function(which: str, n_samples: int, seed: int, *,
+                 sigma: float | None = None, noise: str = NOISE_CONSTANT) -> Dataset:
+    """Samples of one of the two benchmark target functions, noisy given a ``sigma``.
+
+    Inputs are drawn uniformly from the unit box, so they are already
+    normalized and the recorded (min, max) pairs are the identity (0, 1).
+    With a ``sigma`` a noise vector is drawn after the inputs and added:
+    constant noise eps ~ Normal(0, sigma^2), or linear (heteroscedastic)
+    noise whose deviation scales with the first input component,
+    sigma(x) = sigma * x_1, so it vanishes at the origin.  ``sigma=0``
+    keeps the noiseless draws bit for bit.
+    """
+    if sigma is not None and not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if noise not in (NOISE_CONSTANT, NOISE_LINEAR):
+        raise ValueError(
+            f"noise must be {NOISE_CONSTANT!r} or {NOISE_LINEAR!r}, got {noise!r}"
+        )
+    if sigma is None and noise != NOISE_CONSTANT:
+        raise ValueError(f"{noise!r} noise needs a sigma")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    rng = np.random.default_rng(seed)
     if which == GENERATOR_F1:
         x = rng.uniform(0.0, 1.0, size=(n_samples, 1))
         y = np.sin(2.0 * np.pi * x[:, 0])
@@ -390,52 +411,13 @@ def _generator_samples(which: str, n_samples: int,
         raise ValueError(
             f"unknown generator {which!r}; expected {GENERATOR_F1!r} or {GENERATOR_F2!r}"
         )
-    return x, y
-
-
-def gen_function(which: str, n_samples: int, seed: int) -> Dataset:
-    """Noiseless samples of one of the two benchmark target functions.
-
-    Inputs are drawn uniformly from the unit box, so they are already
-    normalized and the recorded (min, max) pairs are the identity (0, 1).
-    """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    x, y = _generator_samples(which, n_samples, rng)
-    return _dataset(x, y, REGRESSION,
-                    f"generator:{which}(n_samples={n_samples},seed={seed})",
-                    normalization=[[0.0, 1.0]] * x.shape[1])
-
-
-def gen_noisy(which: str, sigma: float, n_samples: int, seed: int,
-              *, noise: str = NOISE_CONSTANT) -> Dataset:
-    """Benchmark function samples with additive Gaussian noise.
-
-    Constant noise adds eps ~ Normal(0, sigma^2); linear
-    (heteroscedastic) noise scales the deviation with the first input
-    component, sigma(x) = sigma * x_1, so it vanishes at the origin.
-    Draw order is fixed (inputs first, then the noise vector), so
-    ``sigma=0`` reproduces :func:`gen_function` bit-for-bit.
-    """
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if noise not in (NOISE_CONSTANT, NOISE_LINEAR):
-        raise ValueError(
-            f"noise must be {NOISE_CONSTANT!r} or {NOISE_LINEAR!r}, got {noise!r}"
-        )
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    x, y = _generator_samples(which, n_samples, rng)
-    eps = rng.standard_normal(n_samples)
-    if noise == NOISE_CONSTANT:
-        y = y + sigma * eps
-    else:
-        y = y + sigma * x[:, 0] * eps
-    return _dataset(x, y, REGRESSION,
-                    f"generator:{which}+noise:{noise}"
-                    f"(sigma={sigma},n_samples={n_samples},seed={seed})",
+    provenance = f"generator:{which}(n_samples={n_samples},seed={seed})"
+    if sigma is not None:
+        eps = rng.standard_normal(n_samples)
+        y = y + (sigma if noise == NOISE_CONSTANT else sigma * x[:, 0]) * eps
+        provenance = (f"generator:{which}+noise:{noise}"
+                      f"(sigma={sigma},n_samples={n_samples},seed={seed})")
+    return _dataset(x, y, REGRESSION, provenance,
                     normalization=[[0.0, 1.0]] * x.shape[1])
 
 

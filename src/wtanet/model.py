@@ -11,7 +11,6 @@ the output (regression) or selects the unit's class label
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Literal
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .data import CLASSIFICATION, REGRESSION
 from .expansion import ExpansionSpec, expand_batch, expansion_dim
-from .schema import parse, read_json
+from .schema import parse, read_json, write_json
 
 MODEL_FORMAT_VERSION = 2
 
@@ -262,10 +261,8 @@ def _unit_weights(units: tuple[UnitWeights, ...], key: str) -> np.ndarray:
 
 def save_model(model: WtaModel, path) -> None:
     """Write the model as JSON; floats keep full round-trip precision."""
-    doc = model_to_dict(model)  # before opening: a refused model leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # the dict is made before the file opens, so a refused model leaves no file
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> WtaModel:

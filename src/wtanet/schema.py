@@ -66,6 +66,13 @@ def read_json(path, what: str):
             raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def parse(cls, doc, where: str = ""):
     """Build ``cls`` from the JSON object ``doc``, strictly.
 

@@ -18,7 +18,6 @@ from wtanet import (
     decode,
     encode,
     gen_function,
-    gen_noisy,
     kwta,
     least_squares_oracle,
     run_experiment,
@@ -74,7 +73,7 @@ def test_c02_oracle_dominance_and_proximity():
     carries constant sigma=0.1 noise; on noiseless f1 the oracle RMSE is
     ~1e-16 and no stochastic search could sit within 10% of it.
     """
-    dataset = gen_noisy("f1", 0.1, 100, seed=1001)
+    dataset = gen_function("f1", 100, seed=1001, sigma=0.1)
     spec = ExpansionSpec(input_dim=1, order=3)
     oracle = least_squares_oracle(dataset, spec)
     shape = ModelShape(spec=spec, n_units=1)
@@ -322,7 +321,7 @@ def test_c10_invariant_suite():
     # elitism monotonicity: 100 consecutive-generation pairs per run, 10 runs
     monotone_cases = 0
     for run in range(10):
-        dataset = gen_noisy("f1", 0.1, 25, seed=run)
+        dataset = gen_function("f1", 25, seed=run, sigma=0.1)
         shape = ModelShape(
             spec=ExpansionSpec(input_dim=1, order=int(rng.integers(0, 3))),
             n_units=int(rng.integers(1, 4)),

@@ -16,7 +16,6 @@ from wtanet import (
     config_digest,
     density_check,
     gen_function,
-    gen_noisy,
     least_squares_oracle,
     run_experiment,
 )
@@ -57,7 +56,7 @@ class TestLeastSquaresOracle:
 
     def test_noise_floor_matches_sigma(self):
         # residual-equals-noise statistics oracle
-        ds = gen_noisy("f1", 0.1, 10_000, seed=3)
+        ds = gen_function("f1", 10_000, seed=3, sigma=0.1)
         fit = least_squares_oracle(ds, ExpansionSpec(input_dim=1, order=2))
         assert 0.095 <= fit.rmse <= 0.105
 

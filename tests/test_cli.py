@@ -100,6 +100,7 @@ class TestTrainCommand:
         ("split", "seed"),  # the top-level seed is the only one
         ("ga", "seed"),
         ("output", "dri"),
+        ("output", "report"),  # the file names are fixed
         ("density", "slak"),
         ("dataset.noise", "knd"),
         ("dataset", "window"),  # a key of another source
@@ -154,8 +155,11 @@ class TestTrainCommand:
          "k_values must be strictly increasing, got [1, 1]"),
         ("density", {"density": {"k_values": [0, 1], "seeds": [0, -1, 2]}}, [],
          "seeds must be non-negative, got [0, -1, 2]"),
+        ("train", {"model": {"mode": "classification", "units": 2}}, [],
+         "classification needs a CSV dataset with a class column"),
     ], ids=["seed-negative", "seed-flag-negative", "density-two-seeds",
-            "density-orders-repeat", "density-seed-negative"])
+            "density-orders-repeat", "density-seed-negative",
+            "classification-generator"])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, change,
                                     flags, message):
         path = write_config(tmp_path, **change)
@@ -442,6 +446,20 @@ class TestSynthEvalPredict:
         assert err == f"error:data: sigma must be finite and >= 0, got {value}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("generator, flag", [
+        ("mackey-glass", "--n"),
+        ("mackey-glass", "--noise"),
+        ("mackey-glass", "--noise-slope"),
+        ("f1", "--length"),
+    ])
+    def test_synth_flag_of_another_generator_fails(self, tmp_path, capsys,
+                                                   generator, flag):
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "synth", generator, str(path), flag, "5")
+        assert (code, out) == (1, "")
+        assert err == f"error:data: {flag} does not apply to the {generator} generator\n"
+        assert not path.exists()
+
 class TestSelectCommands:
     def test_kselect_json_instance(self, tmp_path, capsys):
         instance = tmp_path / "inst.json"
@@ -582,6 +600,29 @@ class TestDensityCommand:
             assert code == 0
             reports.append(json.loads((tmp_path / name / "density.json").read_text()))
         assert reports[0][field] != reports[1][field]
+
+
+@pytest.mark.parametrize("command", ["train", "density"])
+@pytest.mark.parametrize("fault, category", [
+    ("missing-csv", "data"),
+    ("zero-units", "train"),
+    ("out-dir-is-a-file", "write"),
+])
+def test_train_and_density_name_the_same_phase(tmp_path, capsys, command, fault,
+                                               category):
+    change = {
+        "missing-csv": {"dataset": {"path": str(tmp_path / "missing.csv")}},
+        "zero-units": {"model": {"units": 0}},
+        "out-dir-is-a-file": {},
+    }[fault]
+    config = write_config(tmp_path, ga={"population_size": 8, "generations": 2},
+                          density={"k_values": [0, 1], "seeds": [0, 1, 2]}, **change)
+    out_dir = tmp_path / "taken"
+    if fault == "out-dir-is-a-file":
+        out_dir.write_text("")
+    code, _, err = run_cli(capsys, "--out-dir", str(out_dir), command, str(config))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"error:{category}: ")
 
 
 class TestClassificationCli:

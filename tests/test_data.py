@@ -15,7 +15,6 @@ from wtanet import (
     dataset_to_csv,
     gen_function,
     gen_mackey_glass,
-    gen_noisy,
     load_csv,
     load_features,
     load_series_csv,
@@ -240,18 +239,18 @@ class TestGenerators:
 
     def test_zero_noise_identical_to_clean(self):
         clean = gen_function("f1", 50, seed=21)
-        noisy = gen_noisy("f1", 0.0, 50, seed=21)
+        noisy = gen_function("f1", 50, seed=21, sigma=0.0)
         assert clean.inputs.tobytes() == noisy.inputs.tobytes()
         assert clean.targets.tobytes() == noisy.targets.tobytes()
 
     def test_constant_noise_residual_std(self):
-        ds = gen_noisy("f1", 0.1, 10_000, seed=5)
+        ds = gen_function("f1", 10_000, seed=5, sigma=0.1)
         clean = np.sin(2 * np.pi * ds.inputs[:, 0])
         std = float(np.std(ds.targets - clean))
         assert 0.095 <= std <= 0.105
 
     def test_heteroscedastic_noise_vanishes_at_origin(self):
-        ds = gen_noisy("f1", 0.5, 5000, seed=6, noise="linear")
+        ds = gen_function("f1", 5000, seed=6, sigma=0.5, noise="linear")
         clean = np.sin(2 * np.pi * ds.inputs[:, 0])
         resid = np.abs(ds.targets - clean)
         # deviation is bounded by slope * x * |eps|; near zero it collapses
@@ -260,17 +259,34 @@ class TestGenerators:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            gen_noisy("f1", -0.1, 10, seed=0)
+            gen_function("f1", 10, seed=0, sigma=-0.1)
 
     @pytest.mark.parametrize("noise", ["constant", "linear"])
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma, noise):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
-            gen_noisy("f1", sigma, 10, seed=0, noise=noise)
+            gen_function("f1", 10, seed=0, sigma=sigma, noise=noise)
+
+    @pytest.mark.parametrize("noise, message", [
+        ("linear", "'linear' noise needs a sigma"),
+        ("gaussian", "noise must be 'constant' or 'linear', got 'gaussian'"),
+    ])
+    def test_noise_kind_without_sigma_rejected(self, noise, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen_function("f1", 10, seed=0, noise=noise)
+
+    @pytest.mark.parametrize("kwargs, provenance", [
+        ({}, "generator:f2(n_samples=12,seed=4)"),
+        ({"sigma": 0.0}, "generator:f2+noise:constant(sigma=0.0,n_samples=12,seed=4)"),
+        ({"sigma": 0.5, "noise": "linear"},
+         "generator:f2+noise:linear(sigma=0.5,n_samples=12,seed=4)"),
+    ], ids=["noiseless", "sigma-zero", "linear"])
+    def test_provenance_names_the_noise(self, kwargs, provenance):
+        assert gen_function("f2", 12, seed=4, **kwargs).provenance == provenance
 
     def test_determinism(self):
-        a = gen_noisy("f2", 0.2, 30, seed=9)
-        b = gen_noisy("f2", 0.2, 30, seed=9)
+        a = gen_function("f2", 30, seed=9, sigma=0.2)
+        b = gen_function("f2", 30, seed=9, sigma=0.2)
         assert a.targets.tobytes() == b.targets.tobytes()
 
 
@@ -299,7 +315,7 @@ class TestMackeyGlass:
 
 class TestCsvRoundTrip:
     def test_regression_dataset_round_trip(self, tmp_path):
-        ds = gen_noisy("f2", 0.05, 25, seed=14)
+        ds = gen_function("f2", 25, seed=14, sigma=0.05)
         path = tmp_path / "out.csv"
         dataset_to_csv(ds, path)
         back = load_csv(path, target_column=-1, mode="regression")

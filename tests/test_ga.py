@@ -21,10 +21,8 @@ from wtanet import (
     WtaModel,
     decode,
     encode,
-    expand,
     expand_batch,
     gen_function,
-    gen_noisy,
     train,
 )
 from wtanet import ga
@@ -246,7 +244,7 @@ class TestFitness:
         model = decode(genes, shape)
         total = 0.0
         for i in range(ds.n_samples):
-            p = expand(shape.spec, ds.inputs[i])
+            p = expand_batch(shape.spec, [ds.inputs[i]])[0]
             excitations = [float(np.dot(model.excitatory[j], p)) for j in range(3)]
             winner = excitations.index(max(excitations))
             out = excitations[winner] - float(np.dot(model.inhibitory[winner], p))
@@ -270,7 +268,7 @@ class TestFitness:
         model = decode(genes, shape)
         wrong = 0
         for i in range(ds.n_samples):
-            p = expand(spec, ds.inputs[i])
+            p = expand_batch(spec, [ds.inputs[i]])[0]
             winner = int(np.argmax(model.excitatory @ p))
             if shape.class_of_unit[winner] != y[i]:
                 wrong += 1
@@ -783,7 +781,7 @@ class TestTrain:
         assert trace.generations_run <= 10
 
     def test_training_improves_over_initial_population(self):
-        ds = gen_noisy("f1", 0.05, 60, seed=13)
+        ds = gen_function("f1", 60, seed=13, sigma=0.05)
         shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=2), n_units=2)
         config = GaConfig(population_size=30, generations=60)
         trace = train(shape, ds, config, 2)
@@ -801,7 +799,7 @@ class TestTrain:
             return score(self, genes, helper)
 
         monkeypatch.setattr(FitnessEvaluator, "__call__", counting)
-        ds = gen_noisy("f1", 0.1, 100, seed=0)
+        ds = gen_function("f1", 100, seed=0, sigma=0.1)
         shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=3), n_units=4)
         trace = train(shape, ds, GaConfig(), 0)
         assert len(scored) == 11_098

@@ -7,7 +7,7 @@ from wtanet import (
     ExpansionSpec,
     ModelShape,
     WtaModel,
-    expand,
+    expand_batch,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -23,7 +23,8 @@ def raw_passthrough_spec(n):
 def predict_one(model, s):
     """Winner, excitations and output of one raw row."""
     winners, outputs = predict(model, [s])
-    return int(winners[0]), model.excitatory @ expand(model.shape.spec, s), outputs[0]
+    pattern = expand_batch(model.shape.spec, [s])[0]
+    return int(winners[0]), model.excitatory @ pattern, outputs[0]
 
 
 def random_model(rng, n=2, order=2, n_units=3, output_activation="identity",
@@ -123,7 +124,7 @@ class TestCompetitionInvariances:
             loser = int(rng.integers(0, 4))
             if loser == winner:
                 continue
-            p = expand(model.shape.spec, s)
+            p = expand_batch(model.shape.spec, [s])[0]
             v = model.excitatory.copy()
             w = model.inhibitory.copy()
             v[loser] += rng.uniform(-0.5, 0.5, size=v.shape[1])
@@ -160,7 +161,7 @@ class TestPredictBatch:
         s = rng.uniform(0, 1, size=2)
         winner, excitation, output = predict_one(model, s)
         # the per-row definition: argmax of v.p, then (v - w).p of the winner
-        p = expand(model.shape.spec, s)
+        p = expand_batch(model.shape.spec, [s])[0]
         assert winner == int(np.argmax(excitation))
         assert output == excitation[winner] - model.inhibitory[winner] @ p
 
