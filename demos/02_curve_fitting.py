@@ -41,7 +41,7 @@ config = RunConfig.from_dict({
     "split": {"train_fraction": 0.7},
     "seed": 1,
 })
-result = run_experiment(config, write=False)
+result = run_experiment(config)
 print(f"\nfour competing units on noiseless sin(2*pi*x):")
 for name, value in sorted(result.report.metrics.items()):
     print(f"  test {name}: {value:.4f}")

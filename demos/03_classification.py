@@ -27,31 +27,33 @@ stds = np.array([
 ])
 names = ["setosa-like", "versicolor-like", "virginica-like"]
 
-workdir = Path(tempfile.mkdtemp(prefix="wtanet-demo-"))
-csv_path = workdir / "iris_like.csv"
-with open(csv_path, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    for c in range(3):
-        for row in rng.normal(means[c], stds[c], size=(50, 4)):
-            writer.writerow([f"{v:.2f}" for v in row] + [names[c]])
+# The run writes its files into a directory removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="wtanet-demo-") as tmp:
+    workdir = Path(tmp)
+    csv_path = workdir / "iris_like.csv"
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for c in range(3):
+            for row in rng.normal(means[c], stds[c], size=(50, 4)):
+                writer.writerow([f"{v:.2f}" for v in row] + [names[c]])
 
-dataset = load_csv(csv_path, target_column=-1, mode="classification")
-print(f"loaded {dataset.n_samples} samples, {dataset.n_features} features, "
-      f"{dataset.n_classes} classes: {dataset.label_names}")
+    dataset = load_csv(csv_path, target_column=-1, mode="classification")
+    print(f"loaded {dataset.n_samples} samples, {dataset.n_features} features, "
+          f"{dataset.n_classes} classes: {dataset.label_names}")
 
-config = RunConfig.from_dict({
-    "task": "demo-classification",
-    "dataset": {"path": str(csv_path), "target_column": -1},
-    "expansion": {"order": 1},
-    "model": {"mode": "classification", "units_per_class": 2},
-    "split": {"train_fraction": 0.7, "stratified": True},
-    "seed": 0,
-    "output": {"dir": str(workdir)},
-})
-result = run_experiment(config)
+    config = RunConfig.from_dict({
+        "task": "demo-classification",
+        "dataset": {"path": str(csv_path), "target_column": -1},
+        "expansion": {"order": 1},
+        "model": {"mode": "classification", "units_per_class": 2},
+        "split": {"train_fraction": 0.7, "stratified": True},
+        "seed": 0,
+    })
+    result = run_experiment(config, out_dir=workdir)
 
-print(f"\ntest accuracy: {result.report.metrics['accuracy']:.4f}")
-print("confusion matrix (rows = true class):")
-for name, row in zip(dataset.label_names, result.report.confusion):
-    print(f"  {name:16s} {row}")
-print(f"\nartifacts written to {workdir}")
+    print(f"\ntest accuracy: {result.report.metrics['accuracy']:.4f}")
+    print("confusion matrix (rows = true class):")
+    for name, row in zip(dataset.label_names, result.report.confusion):
+        print(f"  {name:16s} {row}")
+    print(f"\nartifacts written to {workdir}: "
+          f"{sorted(p.name for p in workdir.iterdir())}")

@@ -27,7 +27,7 @@ config = RunConfig.from_dict({
     "split": {"train_fraction": 0.7},
     "seed": 0,
 })
-result = run_experiment(config, write=False)
+result = run_experiment(config)
 print("\ntest metrics:")
 for name, value in sorted(result.report.metrics.items()):
     print(f"  {name}: {value:.4f}")

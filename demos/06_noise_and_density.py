@@ -17,7 +17,7 @@ result = run_experiment(RunConfig.from_dict({
     "model": {"units": 4, "mode": "regression"},
     "split": {"train_fraction": 0.7},
     "seed": 8,
-}), write=False)
+}))
 residuals = result.test_data.targets - result.outputs
 print(f"constant sigma=0.1: trained-model residual std {residuals.std():.4f}")
 
@@ -29,7 +29,7 @@ result = run_experiment(RunConfig.from_dict({
     "model": {"units": 4, "mode": "regression"},
     "split": {"train_fraction": 0.7},
     "seed": 8,
-}), write=False)
+}))
 x = result.test_data.inputs[:, 0]
 residuals = result.test_data.targets - result.outputs
 print("heteroscedastic sigma(x) = 0.3*x, residual std per x-bin:")

@@ -4,6 +4,7 @@ A run is fully determined by its config file, including one funnel seed;
 phase seeds are derived from it by fixed offsets (data generation
 seed+1, splitting seed+2, evolution seed+3).  Reports carry a stable
 content digest of the resolved config, so they are self-identifying.
+The caller, not the config, names the directory a run writes into.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ class Expansion:
 
 @dataclass(frozen=True)
 class Model:
-    """The model section; classification takes ``units``, ``units_per_class`` or both."""
+    """The model section: regression takes ``units``, classification ``units_per_class``."""
 
     mode: Literal["regression", "classification"] = REGRESSION
     units: int | None = None
@@ -178,15 +179,12 @@ class Model:
     activation: Literal["identity", "logistic"] = IDENTITY
 
     def __post_init__(self) -> None:
-        if self.mode == REGRESSION and self.units is None:
-            raise ValueError("regression model section requires 'units'")
-        if self.mode == REGRESSION and self.units_per_class is not None:
-            raise ValueError("units_per_class applies to classification models only")
-        if self.mode == CLASSIFICATION and self.units is None \
-                and self.units_per_class is None:
-            raise ValueError(
-                "classification model section requires 'units' or 'units_per_class'"
-            )
+        size, other = ("units", "units_per_class") if self.mode == REGRESSION \
+            else ("units_per_class", "units")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{other} does not apply to {self.mode} models")
+        if getattr(self, size) is None:
+            raise ValueError(f"{self.mode} model section requires '{size}'")
         if self.mode == CLASSIFICATION and self.activation != IDENTITY:
             raise ValueError("classification models take no output activation")
 
@@ -197,28 +195,8 @@ class Model:
         if self.mode == REGRESSION:
             return ModelShape(spec=spec, n_units=self.units, mode=REGRESSION,
                               output_activation=self.activation)
-        n_classes = dataset.n_classes
-        per_class = self.units_per_class
-        if per_class is None:
-            if self.units % n_classes:
-                raise ValueError(
-                    f"units={self.units} is not divisible by {n_classes} classes"
-                )
-            per_class = self.units // n_classes
-        shape = ModelShape.for_classification(spec, n_classes, per_class)
-        if self.units is not None and shape.n_units != self.units:
-            raise ValueError(
-                f"model units {self.units} inconsistent with "
-                f"units_per_class {per_class} over {n_classes} classes"
-            )
-        return shape
-
-
-@dataclass(frozen=True)
-class Output:
-    """Where a run writes its files; the ``--out-dir`` flag overrides ``dir``."""
-
-    dir: str = "."
+        return ModelShape.for_classification(spec, dataset.n_classes,
+                                             self.units_per_class)
 
 
 @dataclass(frozen=True)
@@ -256,7 +234,6 @@ class RunConfig:
     seed: int = 0
     task: str = ""
     format_version: Literal[1] = 1
-    output: Output = Output()
     density: Density | None = None
 
     def __post_init__(self) -> None:
@@ -276,10 +253,10 @@ def config_digest(config: RunConfig) -> str:
     """Stable content hash of the resolved configuration.
 
     Defaults are filled in, so leaving a key out and giving its default
-    hash alike; where the files go (``output``, ``density``) is left out.
+    hash alike; the ``density`` section is left out.
     """
     resolved = asdict(config)
-    del resolved["output"], resolved["density"]
+    del resolved["density"]
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -379,13 +356,11 @@ def load_dataset(config: RunConfig) -> Dataset:
     return config.dataset.load(config.model.mode, config.seed + DATA_SEED_OFFSET)
 
 
-def run_experiment(config: RunConfig, *, out_dir: str | None = None,
-                   write: bool = True) -> ExperimentResult:
+def run_experiment(config: RunConfig, *, out_dir: str | None = None) -> ExperimentResult:
     """Run one experiment end to end: data, split, training, evaluation.
 
-    Writes the report JSON, model JSON and trace CSV into the config's
-    output directory (``out_dir`` overrides it; ``write=False`` skips
-    files).  Everything except wall time is a pure function of the
+    Given an ``out_dir``, writes the report JSON, model JSON and trace
+    CSV into it.  Everything except wall time is a pure function of the
     config, so reruns produce byte-identical artifacts.
     """
     t0 = time.perf_counter()
@@ -433,13 +408,12 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None,
         training=train_quality,
     )
 
-    if write:
-        directory = out_dir if out_dir is not None else config.output.dir
+    if out_dir is not None:
         with _phase("write", OSError):
-            os.makedirs(directory, exist_ok=True)
-            write_json(os.path.join(directory, REPORT_FILE), asdict(report))
-            save_model(model, os.path.join(directory, MODEL_FILE))
-            trace_to_csv(trace, os.path.join(directory, TRACE_FILE))
+            os.makedirs(out_dir, exist_ok=True)
+            write_json(os.path.join(out_dir, REPORT_FILE), asdict(report))
+            save_model(model, os.path.join(out_dir, MODEL_FILE))
+            trace_to_csv(trace, os.path.join(out_dir, TRACE_FILE))
 
     return ExperimentResult(
         report=report,
@@ -502,9 +476,10 @@ def density_check(dataset: Dataset, density: Density, model: Model,
     )
 
 
-def run_density(config: RunConfig, *,
-                out_dir: str | None = None) -> tuple[DensityReport, str]:
-    """Run the config's density check and write it; returns the report and its path.
+def run_density(config: RunConfig, out_dir: str) -> tuple[DensityReport, str]:
+    """Run the config's density check and write it into ``out_dir``.
+
+    Returns the report and the path of its file.
 
     Its phases are those of :func:`run_experiment`: data, train and write.
     """
@@ -515,9 +490,8 @@ def run_density(config: RunConfig, *,
     with _phase("train"):
         report = density_check(dataset, config.density, config.model,
                                config.expansion, config.ga)
-    directory = out_dir if out_dir is not None else config.output.dir
-    path = os.path.join(directory, DENSITY_FILE)
+    path = os.path.join(out_dir, DENSITY_FILE)
     with _phase("write", OSError):
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         write_json(path, asdict(report))
     return report, path

@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Subcommands: train, eval, predict, synth, kselect, lp, density.  Global
-flags: --seed (overrides the config/run seed), --out-dir, --quiet.
-Failures exit nonzero after printing one machine-parsable line of the
-form ``error:<category>: <message>`` on stderr; categories are io, config
-(the run config), data (a data CSV, model or instance file, or a value a
-computation rejects) and the phase names train, split, evaluate, write.
-A closed stdout exits 1 with no such line.
+flags: --seed (the run seed of train and density, the draw seed of
+synth), --out-dir (where train and density write, default the working
+directory) and --quiet; a command given --seed or --out-dir that it does
+not read fails with error:data.  Failures exit nonzero after printing
+one machine-parsable line of the form ``error:<category>: <message>`` on
+stderr; categories are io, config (the run config), data (a data CSV,
+model or instance file, a value a computation rejects, or a global flag
+the command does not read) and the phase names train, split, evaluate,
+write.  A closed stdout exits 1 with no such line.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Winner-take-all network benchmarks and tools",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the run seed")
+                        help="override the run seed (train, density, synth)")
     parser.add_argument("--out-dir", default=None,
-                        help="directory for output files")
+                        help="directory for output files (train, density; "
+                             "default .)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress chatter")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,6 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     return parser
 
+
+# the commands that read each global flag; --quiet applies to every command
+_FLAG_COMMANDS = {"--seed": ("train", "density", "synth"), "--out-dir": ("train", "density")}
 
 _VECTOR = tuple[float, ...]
 # the keys of each instance file: its solver's arguments
@@ -236,7 +243,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    report, out_path = bench.run_density(_read_config(args), out_dir=args.out_dir)
+    report, out_path = bench.run_density(_read_config(args), args.out_dir)
     if not args.quiet:
         status = "non-increasing" if report.non_increasing else "NOT non-increasing"
         print(f"density: {status} within slack {report.slack}; wrote {out_path}")
@@ -261,6 +268,11 @@ def _fail(category: str, message: str) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag, value in (("--seed", args.seed), ("--out-dir", args.out_dir)):
+        if value is not None and args.command not in _FLAG_COMMANDS[flag]:
+            return _fail("data", f"{flag} does not apply to the {args.command} command")
+    if args.out_dir is None:
+        args.out_dir = "."
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

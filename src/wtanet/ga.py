@@ -391,12 +391,14 @@ class TrainTrace:
 
     best_fitness: list[float]
     mean_fitness: list[float]
-    best_genes: np.ndarray
     best_fitness_value: float
     best_generation: int
     model: WtaModel
-    generations_run: int
     stopped_early: bool
+
+    @property
+    def generations_run(self) -> int:
+        return len(self.best_fitness)
 
 
 def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
@@ -436,14 +438,13 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
         fits = evaluator(population, helper=helper)
         best_idx = int(np.argmax(fits))
         best_value = float(fits[best_idx])
-        best_genes = population[best_idx].copy()
+        best_chromosome = population[best_idx].copy()
         best_generation = -1  # found in the initial population
 
         best_trace: list[float] = []
         mean_trace: list[float] = []
         stalled = 0
         stopped_early = False
-        generations_run = 0
         sigma = config.mutation_sigma_initial
 
         for gen in range(config.generations):
@@ -452,14 +453,13 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
             unknown = np.isnan(fits)
             if unknown.any():
                 fits[unknown] = evaluator(population[unknown], helper=helper)
-            generations_run = gen + 1
 
             gen_best = int(np.argmax(fits))
             best_trace.append(float(fits[gen_best]))
             mean_trace.append(float(np.mean(fits)))
             if fits[gen_best] > best_value:
                 best_value = float(fits[gen_best])
-                best_genes = population[gen_best].copy()
+                best_chromosome = population[gen_best].copy()
                 best_generation = gen
                 stalled = 0
             else:
@@ -471,11 +471,9 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
     return TrainTrace(
         best_fitness=best_trace,
         mean_fitness=mean_trace,
-        best_genes=best_genes,
         best_fitness_value=best_value,
         best_generation=best_generation,
-        model=decode(best_genes, shape),
-        generations_run=generations_run,
+        model=decode(best_chromosome, shape),
         stopped_early=stopped_early,
     )
 

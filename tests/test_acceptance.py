@@ -38,7 +38,7 @@ def verdict(name, ok, detail):
 
 
 def run_config(doc, **kwargs):
-    return run_experiment(RunConfig.from_dict(doc), write=False, **kwargs)
+    return run_experiment(RunConfig.from_dict(doc), **kwargs)
 
 
 def test_c01_curve_fitting_f1():

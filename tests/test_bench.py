@@ -106,9 +106,14 @@ def small_config(seed=0, **overrides):
 class TestRunExperiment:
     def test_zero_generations_still_reports(self):
         config = small_config(ga={"population_size": 8, "generations": 0})
-        result = run_experiment(config, write=False)
+        result = run_experiment(config)
         assert "rmse" in result.report.metrics
         assert result.report.training["generations_run"] == 0
+
+    def test_no_out_dir_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_experiment(small_config())
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_identical_except_wall_time(self, tmp_path):
         config = small_config(seed=5)
@@ -164,7 +169,7 @@ class TestRunExperiment:
             model={"units": 1, "mode": "regression"},
             ga={"population_size": 20, "generations": 30},
         )
-        result = run_experiment(config, write=False)
+        result = run_experiment(config)
         oracle = least_squares_oracle(
             result.train_data, ExpansionSpec(input_dim=1, order=2)
         )
@@ -173,12 +178,12 @@ class TestRunExperiment:
     def test_phase_error_names_data_phase(self):
         config = small_config(dataset={"path": "/nonexistent/x.csv"})
         with pytest.raises(PhaseError, match=r"\[data\]"):
-            run_experiment(config, write=False)
+            run_experiment(config)
 
     def test_phase_error_names_train_phase(self):
         config = small_config(model={"units": 0, "mode": "regression"})
         with pytest.raises(PhaseError, match=r"\[train\]"):
-            run_experiment(config, write=False)
+            run_experiment(config)
 
 
 class TestConfigDigest:

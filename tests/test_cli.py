@@ -43,7 +43,6 @@ def write_config(tmp_path, **overrides):
         "ga": {"population_size": 8, "generations": 4},
         "split": {"train_fraction": 0.7},
         "seed": 3,
-        "output": {"dir": str(tmp_path / "out")},
     }
     doc.update(overrides)
     path = tmp_path / "config.json"
@@ -54,20 +53,33 @@ def write_config(tmp_path, **overrides):
 class TestTrainCommand:
     def test_writes_artifacts_and_reports_metrics(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        code, out, err = run_cli(capsys, "train", str(config))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "--out-dir", str(out_dir), "train", str(config))
         assert code == 0
         assert "rmse=" in out
-        out_dir = tmp_path / "out"
         assert (out_dir / "report.json").exists()
         assert (out_dir / "model.json").exists()
         assert (out_dir / "trace.csv").exists()
 
-    def test_out_dir_flag_overrides(self, tmp_path, capsys):
+    def test_out_dir_flag_overrides(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
         other = tmp_path / "elsewhere"
         code, _, _ = run_cli(capsys, "--out-dir", str(other), "train", str(config))
         assert code == 0
         assert (other / "report.json").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command, written", [("train", "report.json"),
+                                                  ("density", "density.json")])
+    def test_out_dir_defaults_to_working_directory(self, tmp_path, capsys, monkeypatch,
+                                                   command, written):
+        config = write_config(tmp_path, ga={"population_size": 8, "generations": 2},
+                              density={"k_values": [0, 1], "seeds": [0, 1, 2]})
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, command, str(config))
+        assert code == 0
+        assert (tmp_path / written).exists()
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -99,8 +111,7 @@ class TestTrainCommand:
         ("dataset", "n_sample"),
         ("split", "seed"),  # the top-level seed is the only one
         ("ga", "seed"),
-        ("output", "dri"),
-        ("output", "report"),  # the file names are fixed
+        ("", "output"),  # --out-dir names the directory
         ("density", "slak"),
         ("dataset.noise", "knd"),
         ("dataset", "window"),  # a key of another source
@@ -118,7 +129,8 @@ class TestTrainCommand:
             target = target[name]
         target[key] = 1
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "train", str(path))
+        code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "train",
+                                 str(path))
         name = f"{section}.{key}" if section else key
         assert code == 1
         assert err == f"error:config: unknown key {name}\n"
@@ -141,7 +153,8 @@ class TestTrainCommand:
         path = write_config(tmp_path, **(change or {}))
         if change is None:
             path.write_text(f"[{path.read_text()}]")
-        code, out, err = run_cli(capsys, command, str(path))
+        code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), command,
+                                 str(path))
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:config: ")
         assert not (tmp_path / "out").exists()
@@ -155,15 +168,21 @@ class TestTrainCommand:
          "k_values must be strictly increasing, got [1, 1]"),
         ("density", {"density": {"k_values": [0, 1], "seeds": [0, -1, 2]}}, [],
          "seeds must be non-negative, got [0, -1, 2]"),
-        ("train", {"model": {"mode": "classification", "units": 2}}, [],
+        ("train", {"model": {"mode": "classification", "units_per_class": 2}}, [],
          "classification needs a CSV dataset with a class column"),
+        ("train", {"model": {"mode": "classification", "units": 2}}, [],
+         "units does not apply to classification models"),
+        ("train", {"model": {"units": 2, "units_per_class": 1}}, [],
+         "units_per_class does not apply to regression models"),
     ], ids=["seed-negative", "seed-flag-negative", "density-two-seeds",
             "density-orders-repeat", "density-seed-negative",
-            "classification-generator"])
+            "classification-generator", "classification-units",
+            "regression-units-per-class"])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, change,
                                     flags, message):
         path = write_config(tmp_path, **change)
-        code, out, err = run_cli(capsys, *flags, command, str(path))
+        code, out, err = run_cli(capsys, *flags, "--out-dir", str(tmp_path / "out"),
+                                 command, str(path))
         assert code == 1
         assert err == f"error:config: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -183,7 +202,7 @@ FUZZ_KEYS = sorted(
     set(FUZZ_BASE) | {k for v in FUZZ_BASE.values() if isinstance(v, dict) for k in v}
     | {"mode", "units_per_class", "activation", "include_bias", "noise", "sigma",
        "kind", "window", "path", "series", "stratified", "elitism_count",
-       "init_weight_range", "mutation_rate", "output", "density", "format_version",
+       "init_weight_range", "mutation_rate", "density", "format_version",
        "bogus"}
 )
 # small magnitudes only: a mutated size must not make a large run
@@ -348,7 +367,8 @@ def test_fuzzed_data_csv_serves_or_fails_with_one_error_line(tmp_path, capsys, d
         json.dump(FUZZ_CSV_MODELS[mode], fh)
     with open(f"{work}/config.json", "w", encoding="utf-8") as fh:
         json.dump({**FUZZ_BASE, "dataset": {"path": f"{work}/data.csv"},
-                   "model": {"units": 2, "mode": mode}}, fh)
+                   "model": {"mode": mode, **({"units": 2} if mode == "regression"
+                                              else {"units_per_class": 1})}}, fh)
     for argv in (["--out-dir", f"{work}/out", "train", f"{work}/config.json"],
                  ["eval", f"{work}/model.json", f"{work}/data.csv"],
                  ["predict", f"{work}/model.json", f"{work}/data.csv",
@@ -401,7 +421,7 @@ class TestSynthEvalPredict:
             tmp_path,
             dataset={"path": str(data_csv), "target_column": -1},
         )
-        run_cli(capsys, "train", str(config))
+        run_cli(capsys, "--out-dir", str(tmp_path / "out"), "train", str(config))
         model_path = tmp_path / "out" / "model.json"
 
         code, out, _ = run_cli(capsys, "eval", str(model_path), str(data_csv))
@@ -634,7 +654,8 @@ class TestClassificationCli:
             ga={"population_size": 10, "generations": 8},
             split={"train_fraction": 0.7, "stratified": True},
         )
-        code, _, _ = run_cli(capsys, "train", str(config))
+        code, _, _ = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "train",
+                             str(config))
         assert code == 0
         model_path = tmp_path / "out" / "model.json"
 
@@ -669,9 +690,8 @@ def f1_model(tmp_path_factory):
         "model": {"units": 4, "mode": "regression"},
         "split": {"train_fraction": 0.7},
         "seed": 0,
-        "output": {"dir": str(tmp_path / "out")},
     }))
-    assert main(["--quiet", "train", str(config)]) == 0
+    assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "train", str(config)]) == 0
     return tmp_path / "out" / "model.json"
 
 
@@ -753,7 +773,8 @@ class TestNonFiniteCells:
         lines[4] = lines[4].split(",")[0] + ",nan"
         data.write_text("\n".join(lines) + "\n")
         config = write_config(tmp_path, dataset={"path": str(data)})
-        code, _, err = run_cli(capsys, "train", str(config))
+        code, _, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "train",
+                               str(config))
         assert code == 1
         assert err == "error:data: non-finite cell at row 5, column 2: 'nan'\n"
         assert not (tmp_path / "out").exists()
@@ -779,7 +800,8 @@ class TestNonFiniteCells:
         data = tmp_path / "data.csv"
         data.write_text("0.2,0.9\n0.6," + "1" * 200_000 + "\n")
         argv = {
-            "train": ["train", str(write_config(tmp_path, dataset={"path": str(data)}))],
+            "train": ["--out-dir", str(tmp_path / "out"), "train",
+                      str(write_config(tmp_path, dataset={"path": str(data)}))],
             "eval": ["eval", str(f1_model), str(data)],
             "predict": ["predict", str(f1_model), str(data),
                         "-o", str(tmp_path / "pred.csv")],
@@ -861,7 +883,8 @@ class TestJsonText:
             (tmp_path / name).mkdir()
             config = write_config(tmp_path / name)
             config.write_bytes(b"\xef\xbb\xbf" * (name == "marked") + config.read_bytes())
-            code, _, err = run_cli(capsys, "--quiet", "train", str(config))
+            code, _, err = run_cli(capsys, "--quiet", "--out-dir", str(tmp_path / name / "out"),
+                                   "train", str(config))
             assert (code, err) == (0, "")
         assert ((tmp_path / "marked/out/model.json").read_bytes()
                 == (tmp_path / "plain/out/model.json").read_bytes())
@@ -889,8 +912,8 @@ class TestJsonText:
         data = tmp_path / "data.csv"
         data.write_text("0.5,1.0\n")
         text, argv, category = {
-            "config": (write_config(tmp_path).read_bytes(), ["train", str(path)],
-                       "config"),
+            "config": (write_config(tmp_path).read_bytes(),
+                       ["--out-dir", str(tmp_path / "out"), "train", str(path)], "config"),
             "model": (f1_model.read_bytes(), ["eval", str(path), str(data)], "data"),
             "instance": (b'{"x": [3, 1, 2], "k": 2}', ["kselect", str(path)], "data"),
         }[what]
@@ -999,6 +1022,40 @@ def test_model_file_not_an_object_fails_with_one_error_line(
     assert err == f"error:data: {message.format(path=model)}\n"
 
 
+@pytest.mark.parametrize("flag, command", [
+    ("--seed", "eval"), ("--seed", "predict"), ("--seed", "kselect"), ("--seed", "lp"),
+    ("--out-dir", "eval"), ("--out-dir", "predict"), ("--out-dir", "synth"),
+    ("--out-dir", "kselect"), ("--out-dir", "lp"),
+])
+def test_global_flag_the_command_does_not_read_fails(tmp_path, capsys, flag, command):
+    model = tmp_path / "model.json"
+    save_model(WtaModel(
+        ModelShape(ExpansionSpec(input_dim=1, order=1), 1), [[1.0, 0.0, 0.0, 0.0]],
+        [[0.5, 0.0, 0.0, 0.0]], normalization=[[0.0, 1.0]],
+    ), model)
+    data = tmp_path / "data.csv"
+    data.write_text("0.25,0.5\n0.75,0.1\n")
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps({"x": [3, 1, 2], "k": 2}))
+    lp = tmp_path / "lp.json"
+    lp.write_text(json.dumps({"c": [3, 1, 2]}))
+    argv = {
+        "eval": ["eval", str(model), str(data)],
+        "predict": ["predict", str(model), str(data), "--target-column", "-1",
+                    "-o", str(tmp_path / "pred.csv")],
+        "synth": ["synth", "f1", str(tmp_path / "f1.csv"), "--n", "5"],
+        "kselect": ["kselect", str(instance)],
+        "lp": ["lp", str(lp), "--form", "simplex"],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    value = "3" if flag == "--seed" else str(tmp_path / "elsewhere")
+    code, out, err = run_cli(capsys, flag, value, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error:data: {flag} does not apply to the {command} command\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert run_cli(capsys, "--quiet", *argv)[0] == 0
+
+
 def test_repeated_main_calls_share_one_parser_and_keep_no_state(tmp_path, capsys):
     model = tmp_path / "model.json"
     save_model(WtaModel(
@@ -1010,8 +1067,16 @@ def test_repeated_main_calls_share_one_parser_and_keep_no_state(tmp_path, capsys
     one = tmp_path / "one.csv"
     one.write_text("0.25\n0.75\n")
     dropped, kept = tmp_path / "dropped.csv", tmp_path / "kept.csv"
+    seeded, unseeded = tmp_path / "seeded.csv", tmp_path / "unseeded.csv"
 
-    code, out, err = run_cli(capsys, "--quiet", "--seed", "5", "predict", str(model),
+    code, out, err = run_cli(capsys, "--quiet", "--seed", "5", "synth", "f1", str(seeded),
+                             "--n", "3")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run_cli(capsys, "synth", "f1", str(unseeded), "--n", "3")
+    assert (code, out, err) == (0, f"wrote 3 rows to {unseeded}\n", "")
+    assert seeded.read_bytes() != unseeded.read_bytes()
+
+    code, out, err = run_cli(capsys, "--quiet", "predict", str(model),
                              str(two), "--target-column", "1", "-o", str(dropped))
     assert (code, out, err) == (0, "", "")
     code, out, err = run_cli(capsys, "predict", str(model), str(one), "-o", str(kept))

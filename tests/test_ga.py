@@ -136,7 +136,7 @@ def helper_threads():
 def trace_bytes(trace):
     """A training's best genes and per-generation fitness, as bytes."""
     fitness = np.array(trace.best_fitness + trace.mean_fitness + [trace.best_fitness_value])
-    return trace.best_genes.tobytes() + fitness.tobytes()
+    return encode(trace.model).tobytes() + fitness.tobytes()
 
 
 def reference_next_population(population, fits, config, rng, sigma):
@@ -755,7 +755,7 @@ class TestTrain:
         config = GaConfig(population_size=12, generations=15)
         a = train(shape, ds, config, 7)
         b = train(shape, ds, config, 7)
-        assert a.best_genes.tobytes() == b.best_genes.tobytes()
+        assert encode(a.model).tobytes() == encode(b.model).tobytes()
         assert a.best_fitness == b.best_fitness
         assert a.model.excitatory.tobytes() == b.model.excitatory.tobytes()
 
