@@ -59,11 +59,11 @@ class PhaseError(RuntimeError):
 
 
 @contextmanager
-def _phase(name: str, errors=ValueError):
-    """Raise the ``errors`` of the block as a PhaseError of phase ``name``."""
+def _phase(name: str, errors=(ValueError,)):
+    """Raise the ``errors`` of the block, or a failed allocation, as a PhaseError of ``name``."""
     try:
         yield
-    except errors as exc:
+    except (*errors, MemoryError) as exc:
         raise PhaseError(name, exc) from exc
 
 
@@ -193,7 +193,7 @@ class Model:
         spec = ExpansionSpec(input_dim=dataset.n_features, order=expansion.order,
                              include_bias=expansion.include_bias)
         if self.mode == REGRESSION:
-            return ModelShape(spec=spec, n_units=self.units, mode=REGRESSION,
+            return ModelShape(spec=spec, n_units=self.units,
                               output_activation=self.activation)
         return ModelShape.for_classification(spec, dataset.n_classes,
                                              self.units_per_class)
@@ -409,7 +409,7 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None) -> Experime
     )
 
     if out_dir is not None:
-        with _phase("write", OSError):
+        with _phase("write", (OSError,)):
             os.makedirs(out_dir, exist_ok=True)
             write_json(os.path.join(out_dir, REPORT_FILE), asdict(report))
             save_model(model, os.path.join(out_dir, MODEL_FILE))
@@ -491,7 +491,7 @@ def run_density(config: RunConfig, out_dir: str) -> tuple[DensityReport, str]:
         report = density_check(dataset, config.density, config.model,
                                config.expansion, config.ga)
     path = os.path.join(out_dir, DENSITY_FILE)
-    with _phase("write", OSError):
+    with _phase("write", (OSError,)):
         os.makedirs(out_dir, exist_ok=True)
         write_json(path, asdict(report))
     return report, path

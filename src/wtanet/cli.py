@@ -7,9 +7,10 @@ directory) and --quiet; a command given --seed or --out-dir that it does
 not read fails with error:data.  Failures exit nonzero after printing
 one machine-parsable line of the form ``error:<category>: <message>`` on
 stderr; categories are io, config (the run config), data (a data CSV,
-model or instance file, a value a computation rejects, or a global flag
-the command does not read) and the phase names train, split, evaluate,
-write.  A closed stdout exits 1 with no such line.
+model or instance file, a value a computation rejects, an allocation
+the host refuses, or a global flag the command does not read) and the
+phase names train, split, evaluate, write, which also report a refused
+allocation in their phase.  A closed stdout exits 1 with no such line.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         return _fail("io", str(exc))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         return _fail("data", str(exc))
 
 

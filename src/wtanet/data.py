@@ -40,12 +40,12 @@ class Dataset:
     ``targets`` an (N,) vector of raw regression values or dense class
     labels 0..C-1, ``normalization`` an (n, 2) matrix of per-feature
     (min, max) pairs, and ``label_names`` the original class labels in
-    first-appearance order (classification only).
+    first-appearance order, indexed by the labels.  A dataset is a
+    classification set exactly when it has ``label_names``.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    mode: str
     normalization: np.ndarray
     provenance: str
     label_names: tuple[str, ...] | None = None
@@ -53,11 +53,8 @@ class Dataset:
     def __post_init__(self) -> None:
         # own copies so freezing them cannot affect caller-held arrays
         self.inputs = np.array(self.inputs, dtype=np.float64, copy=True)
-        _check_mode(self.mode)
-        if self.mode == CLASSIFICATION:
-            self.targets = np.array(self.targets, dtype=np.int64, copy=True)
-        else:
-            self.targets = np.array(self.targets, dtype=np.float64, copy=True)
+        self.targets = np.array(self.targets, copy=True, dtype=np.float64
+                                if self.label_names is None else np.int64)
         self.normalization = np.array(self.normalization, dtype=np.float64, copy=True)
         if self.inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got shape {self.inputs.shape}")
@@ -73,6 +70,10 @@ class Dataset:
                 f"normalization must have shape ({self.inputs.shape[1]}, 2), "
                 f"got {self.normalization.shape}"
             )
+        if self.label_names is not None and not \
+                0 <= self.targets.min() <= self.targets.max() < len(self.label_names):
+            raise ValueError("class labels must index label_names "
+                             f"(0..{len(self.label_names) - 1})")
         for arr in (self.inputs, self.targets, self.normalization):
             arr.setflags(write=False)
 
@@ -85,12 +86,14 @@ class Dataset:
         return self.inputs.shape[1]
 
     @property
+    def mode(self) -> str:
+        return REGRESSION if self.label_names is None else CLASSIFICATION
+
+    @property
     def n_classes(self) -> int:
-        if self.mode != CLASSIFICATION:
+        if self.label_names is None:
             raise ValueError("n_classes is defined for classification datasets only")
-        if self.label_names is not None:
-            return len(self.label_names)
-        return int(self.targets.max()) + 1
+        return len(self.label_names)
 
     def denormalized_inputs(self) -> np.ndarray:
         """Recover raw feature values from the recorded (min, max) pairs."""
@@ -103,7 +106,6 @@ class Dataset:
         return Dataset(
             inputs=self.inputs[idx],
             targets=self.targets[idx],
-            mode=self.mode,
             normalization=self.normalization.copy(),
             provenance=f"{self.provenance}|{provenance_note}",
             label_names=self.label_names,
@@ -153,7 +155,7 @@ def normalize(raw: np.ndarray, normalization) -> np.ndarray:
     return out
 
 
-def _dataset(raw: np.ndarray, targets, mode: str, provenance: str, *,
+def _dataset(raw: np.ndarray, targets, provenance: str, *,
              normalization=None, label_names=None) -> Dataset:
     """The Dataset of raw (N, n) features, normalized by their own ranges by default."""
     norm = _feature_ranges(raw) if normalization is None \
@@ -161,9 +163,8 @@ def _dataset(raw: np.ndarray, targets, mode: str, provenance: str, *,
     constant = [int(i) for i in np.nonzero(norm[:, 0] == norm[:, 1])[0]]
     if constant:
         provenance += f"|warning:constant-features{constant}-normalized-to-0.0"
-    return Dataset(inputs=normalize(raw, norm), targets=targets, mode=mode,
-                   normalization=norm, provenance=provenance,
-                   label_names=label_names)
+    return Dataset(inputs=normalize(raw, norm), targets=targets, normalization=norm,
+                   provenance=provenance, label_names=label_names)
 
 
 def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
@@ -269,12 +270,12 @@ def load_csv(path, *, target_column: int = -1, mode: str,
     target = _column_index(len(columns), target_column, "target_column")
     _, raw = parse_features(columns, target)
     if mode == REGRESSION:
-        return _dataset(raw, _numbers(columns, [target])[:, 0], mode, f"csv:{path}",
+        return _dataset(raw, _numbers(columns, [target])[:, 0], f"csv:{path}",
                         normalization=normalization)
     label_ids: dict[str, int] = {}  # insertion order is first-appearance order
     targets = [label_ids.setdefault(cell.strip(), len(label_ids))
                for cell in columns[target]]
-    return _dataset(raw, targets, mode, f"csv:{path}", normalization=normalization,
+    return _dataset(raw, targets, f"csv:{path}", normalization=normalization,
                     label_names=tuple(label_ids))
 
 
@@ -325,13 +326,8 @@ def split_dataset(dataset: Dataset, spec: SplitSpec,
         for label in range(dataset.n_classes):
             members = np.nonzero(dataset.targets == label)[0]
             if members.size < 2:
-                name = (
-                    dataset.label_names[label]
-                    if dataset.label_names is not None
-                    else str(label)
-                )
                 raise ValueError(
-                    f"class {name!r} has {members.size} sample(s); "
+                    f"class {dataset.label_names[label]!r} has {members.size} sample(s); "
                     "stratified split needs at least 2 per class"
                 )
             perm = members[rng.permutation(members.size)]
@@ -374,7 +370,7 @@ def window_series(series, window: int, horizon: int = 1,
         )
     count = series.size - window - horizon + 1
     raw = np.lib.stride_tricks.sliding_window_view(series, window)[:count]
-    return _dataset(raw, series[window + horizon - 1:], REGRESSION,
+    return _dataset(raw, series[window + horizon - 1:],
                     f"window(w={window},h={horizon})|{provenance}")
 
 
@@ -417,7 +413,7 @@ def gen_function(which: str, n_samples: int, seed: int, *,
         y = y + (sigma if noise == NOISE_CONSTANT else sigma * x[:, 0]) * eps
         provenance = (f"generator:{which}+noise:{noise}"
                       f"(sigma={sigma},n_samples={n_samples},seed={seed})")
-    return _dataset(x, y, REGRESSION, provenance,
+    return _dataset(x, y, provenance,
                     normalization=[[0.0, 1.0]] * x.shape[1])
 
 
@@ -488,7 +484,7 @@ def repr_cells(values: np.ndarray) -> list[str]:
 
 def dataset_to_csv(dataset: Dataset, path, *, header: bool = False) -> None:
     """Write a dataset as CSV: raw-scale features, target column last."""
-    if dataset.mode == CLASSIFICATION and dataset.label_names is not None:
+    if dataset.label_names is not None:
         targets = [dataset.label_names[t] for t in dataset.targets.tolist()]
     else:
         targets = repr_cells(dataset.targets)

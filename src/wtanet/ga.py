@@ -144,17 +144,17 @@ class FitnessEvaluator:
     """Pure fitness function over a fixed dataset and model shape.
 
     The expanded design matrix is precomputed once, transposed to
-    (m, N).  A call scores chromosomes of shape ``(..., n_genes)`` and
-    returns fitness of shape ``(...)``; a single 1-D chromosome gets a
-    Python float.  Chromosomes are scored in blocks, with one matrix
-    product per block and weight set, and the winner is the unit with
-    the largest excitation, ties to the smallest index.  Winners are
-    held as the smallest unsigned code that fits the unit count (one
-    byte up to 256 units), and the index that gathers the winner's
-    inhibition is computed in intp.  Returns -MSE for regression,
-    -(error rate) for classification; a non-finite output
-    (classification: any non-finite excitation) yields the
-    worst-fitness sentinel instead of raising.
+    (m, N).  A call scores a (P, n_genes) population and returns its P
+    fitness values; any other shape is an error, so a single chromosome
+    is scored as a one-row population.  Chromosomes are scored in
+    blocks, with one matrix product per block and weight set, and the
+    winner is the unit with the largest excitation, ties to the smallest
+    index.  Winners are held as the smallest unsigned code that fits the
+    unit count (one byte up to 256 units), and the index that gathers
+    the winner's inhibition is computed in intp.  Returns -MSE for
+    regression, -(error rate) for classification; a non-finite output
+    (classification: any non-finite excitation) yields the worst-fitness
+    sentinel instead of raising.
 
     A call scores serially unless it is handed ``helper``, an executor
     with one worker (:func:`train` makes it); then a call with two
@@ -200,45 +200,39 @@ class FitnessEvaluator:
         # the calling thread, 1: the helper) and the shared gather offsets
         self._rows, self._products, self._offsets = 0, [], None
 
-    def __call__(self, genes, helper=None):
-        genes = np.asarray(genes, dtype=np.float64)
-        n_genes = self.shape.n_genes
-        if genes.shape[-1:] != (n_genes,):
-            raise ValueError(
-                f"chromosome length mismatch: expected {n_genes}, "
-                f"got shape {genes.shape}"
-            )
-        flat = genes.reshape(-1, n_genes)
-        fits = np.empty(flat.shape[0])
-        starts = range(0, flat.shape[0], self._block)
+    def __call__(self, population, helper=None) -> np.ndarray:
+        population = np.asarray(population, dtype=np.float64)
+        if population.ndim != 2 or population.shape[1] != self.shape.n_genes:
+            raise ValueError(f"expected a (P, {self.shape.n_genes}) population, "
+                             f"got shape {population.shape}")
+        fits = np.empty(len(population))
+        starts = range(0, len(population), self._block)
         if len(starts) < 2:
             helper = None
-        self._size_buffers(min(self._block, flat.shape[0]), 1 if helper is None else 2)
+        self._size_buffers(min(self._block, len(population)), 1 if helper is None else 2)
         if helper is None:
-            self._score_blocks(flat, fits, starts, 0)
+            self._score_blocks(population, fits, starts, 0)
         else:
-            future = helper.submit(self._score_blocks, flat, fits, starts[1::2], 1)
+            future = helper.submit(self._score_blocks, population, fits, starts[1::2], 1)
             try:
-                self._score_blocks(flat, fits, starts[::2], 0)
+                self._score_blocks(population, fits, starts[::2], 0)
             finally:
                 # the helper writes fits and its buffers until it is done;
                 # exception() waits for that, result() raises its error
                 future.exception()
             future.result()
-        if genes.ndim == 1:
-            return float(fits[0])
-        return fits.reshape(genes.shape[:-1])
+        return fits
 
-    def _score_blocks(self, flat: np.ndarray, fits: np.ndarray, starts,
+    def _score_blocks(self, population: np.ndarray, fits: np.ndarray, starts,
                       worker: int) -> None:
-        """Score the blocks of ``flat`` that begin at ``starts`` into ``fits``."""
+        """Score the blocks of ``population`` that begin at ``starts`` into ``fits``."""
         # overflow to inf is tolerated here and mapped to the worst-fitness
         # sentinel instead of raising; errstate is per thread, so each
         # worker enters its own
         with np.errstate(over="ignore", invalid="ignore"):
             for start in starts:
                 stop = start + self._block
-                fits[start:stop] = self._score_block(flat[start:stop], worker)
+                fits[start:stop] = self._score_block(population[start:stop], worker)
 
     def _size_buffers(self, rows: int, workers: int) -> None:
         """Product buffers for ``workers`` workers and offsets for ``rows`` chromosomes.

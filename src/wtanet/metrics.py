@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _paired(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+def _paired(predictions, targets, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    p = np.asarray(predictions, dtype=dtype)
+    t = np.asarray(targets, dtype=dtype)
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: predictions {p.shape} vs targets {t.shape}")
     if p.size == 0:
@@ -36,23 +36,13 @@ def nrmse(predictions, targets) -> float:
 
 
 def accuracy(predictions, targets) -> float:
-    p = np.asarray(predictions)
-    t = np.asarray(targets)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: predictions {p.shape} vs targets {t.shape}")
-    if p.size == 0:
-        raise ValueError("empty metric inputs")
+    p, t = _paired(predictions, targets, None)
     return float(np.mean(p == t))
 
 
 def confusion_matrix(predictions, targets, n_classes: int) -> np.ndarray:
     """Counts indexed [true class, predicted class]; rows sum to per-class counts."""
-    p = np.asarray(predictions, dtype=np.int64)
-    t = np.asarray(targets, dtype=np.int64)
-    if p.shape != t.shape:
-        raise ValueError(f"length mismatch: predictions {p.shape} vs targets {t.shape}")
-    if p.size == 0:
-        raise ValueError("empty metric inputs")
+    p, t = _paired(predictions, targets, np.int64)
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
     return counts

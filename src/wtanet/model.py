@@ -46,43 +46,40 @@ def apply_activation(name: str, r):
 class ModelShape:
     """A model's layout: everything but its weights and serving metadata.
 
-    The one check of mode, output activation and unit classes.  A
-    regression shape has no ``class_of_unit``; a classification shape
-    has one class label per unit and the identity activation.
+    The one check of output activation and unit classes.  A shape is a
+    classification shape exactly when it has ``class_of_unit``, one
+    class label per unit, and then takes the identity activation.
 
     Args:
         spec: input expansion shape.
         n_units: M, the number of competing units.
-        mode: "regression" or "classification".
         output_activation: "identity" or "logistic" (regression only).
         class_of_unit: class label per unit (classification only).
     """
 
     spec: ExpansionSpec
     n_units: int
-    mode: str = REGRESSION
     output_activation: str = IDENTITY
     class_of_unit: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_units < 1:
             raise ValueError(f"n_units must be >= 1, got {self.n_units}")
-        if self.mode not in (REGRESSION, CLASSIFICATION):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.output_activation not in (IDENTITY, LOGISTIC):
             raise ValueError(f"unknown activation {self.output_activation!r}")
-        if self.mode == REGRESSION:
-            if self.class_of_unit is not None:
-                raise ValueError("class_of_unit is meaningful in classification mode only")
-        elif self.output_activation != IDENTITY:
+        if self.class_of_unit is None:
+            return
+        if self.output_activation != IDENTITY:
             raise ValueError("classification models take no output activation")
-        elif self.class_of_unit is None:
-            raise ValueError("classification shape requires class_of_unit")
-        elif len(self.class_of_unit) != self.n_units:
+        if len(self.class_of_unit) != self.n_units:
             raise ValueError(
                 f"class_of_unit length {len(self.class_of_unit)} does not "
                 f"match n_units {self.n_units}"
             )
+
+    @property
+    def mode(self) -> str:
+        return REGRESSION if self.class_of_unit is None else CLASSIFICATION
 
     @property
     def pattern_dim(self) -> int:
@@ -102,7 +99,6 @@ class ModelShape:
         return cls(
             spec=spec,
             n_units=n_units,
-            mode=CLASSIFICATION,
             class_of_unit=tuple(j % n_classes for j in range(n_units)),
         )
 
@@ -223,7 +219,7 @@ class UnitWeights:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """A model file's keys, parsed strictly; a classifier's also needs class_names."""
+    """A model file's keys, parsed strictly; a classifier's also needs its class keys."""
 
     format_version: Literal[2]
     spec: ExpansionSpec
@@ -238,7 +234,10 @@ class ModelFile:
 def model_from_dict(doc) -> WtaModel:
     """Model from its JSON document."""
     model = parse(ModelFile, doc, "model")
-    shape = ModelShape(model.spec, len(model.units), model.mode, model.output_activation,
+    if (model.mode == CLASSIFICATION) != (model.class_of_unit is not None):
+        raise ValueError("missing key model.class_of_unit" if model.class_of_unit is None
+                         else "model.class_of_unit is for classification models only")
+    shape = ModelShape(model.spec, len(model.units), model.output_activation,
                        model.class_of_unit)
     if shape.mode == CLASSIFICATION and model.class_names is None:
         raise ValueError("missing key model.class_names")

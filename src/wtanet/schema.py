@@ -55,11 +55,18 @@ def _key(where: str, name: str) -> str:
 
 
 def read_json(path, what: str):
-    """The JSON document in the file ``path``; ``what`` names it in errors."""
+    """The JSON document in ``path``, whose objects repeat no key; ``what`` names it."""
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for key in keys if keys.count(key) > 1)
+            raise ValueError(f"{what} {path} has a duplicate key {key!r}")
+        return doc
     # utf-8-sig drops the byte-order mark that some editors put first
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -92,8 +99,7 @@ def parse(cls, doc, where: str = ""):
     if unknown:
         raise ValueError(f"unknown key {_key(where, unknown[0])}")
     for name, f in fields.items():
-        if name not in doc and f.default is dataclasses.MISSING \
-                and f.default_factory is dataclasses.MISSING:
+        if name not in doc and f.default is dataclasses.MISSING:
             raise ValueError(f"missing key {_key(where, name)}")
     return cls(**kwargs)
 

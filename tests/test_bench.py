@@ -27,7 +27,6 @@ def linear_dataset(n=50, slope=2.0, seed=0):
     return Dataset(
         inputs=x,
         targets=slope * x[:, 0],
-        mode="regression",
         normalization=np.array([[0.0, 1.0]]),
         provenance="test:linear",
     )
@@ -65,7 +64,7 @@ class TestLeastSquaresOracle:
         rng = np.random.default_rng(4)
         x = np.column_stack([rng.uniform(0, 1, 40), np.zeros(40)])
         ds = Dataset(
-            inputs=x, targets=x[:, 0], mode="regression",
+            inputs=x, targets=x[:, 0],
             normalization=np.array([[0.0, 1.0], [5.0, 5.0]]),
             provenance="test:constant-col",
         )
@@ -82,7 +81,7 @@ class TestLeastSquaresOracle:
         ds = linear_dataset()
         clf = Dataset(
             inputs=ds.inputs, targets=np.zeros(ds.n_samples, dtype=int),
-            mode="classification", normalization=ds.normalization,
+            normalization=ds.normalization,
             provenance="test", label_names=("a",),
         )
         with pytest.raises(ValueError, match="regression"):

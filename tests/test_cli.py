@@ -259,8 +259,7 @@ FILE_FUZZ_VALUES = st.one_of(
     st.lists(st.lists(st.floats(-3, 3), min_size=1, max_size=3), max_size=3),
 )
 FUZZ_MODEL = model_to_dict(WtaModel(
-    ModelShape(ExpansionSpec(input_dim=1, order=1), 2, mode="classification",
-               class_of_unit=[0, 1]),
+    ModelShape(ExpansionSpec(input_dim=1, order=1), 2, class_of_unit=[0, 1]),
     [[1.0, 0.5, -0.5, 0.0], [-1.0, 0.2, 0.1, 0.3]], np.zeros((2, 4)),
     class_names=["a", "b"], normalization=[[0.0, 1.0]],
 ))
@@ -645,6 +644,33 @@ def test_train_and_density_name_the_same_phase(tmp_path, capsys, command, fault,
     assert len(err.splitlines()) == 1 and err.startswith(f"error:{category}: ")
 
 
+class TestRefusedAllocation:
+    """An allocation the host refuses is one error line in its phase, not a traceback.
+
+    Every size here is above the 128 TiB x86-64 user address space, so it
+    fails at once whatever the host's overcommit setting.
+    """
+
+    @pytest.mark.parametrize("change, category", [
+        ({"ga": {"population_size": 10**15, "generations": 1}}, "train"),  # 114 PiB
+        ({"dataset": {"generator": "f1", "n_samples": 10**15}}, "data"),  # 7 PiB
+    ], ids=["population", "generator"])
+    def test_train_fails_in_its_phase(self, tmp_path, capsys, change, category):
+        config = write_config(tmp_path, **change)
+        code, out, err = run_cli(capsys, "--out-dir", str(tmp_path / "out"), "train",
+                                 str(config))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"error:{category}: Unable to allocate")
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_fails_with_a_data_error(self, tmp_path, capsys):
+        output = tmp_path / "big.csv"
+        code, out, err = run_cli(capsys, "synth", "f1", str(output), "--n", str(10**15))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:data: Unable to allocate")
+        assert not output.exists()
+
+
 class TestClassificationCli:
     def test_train_eval_predict_with_labels(self, tmp_path, capsys, iris_like_csv):
         config = write_config(
@@ -857,8 +883,7 @@ class TestCsvText:
         model = tmp_path / "model.json"
         # x=0 wins unit 1 (1 - 2x), x=1 unit 0 (2x - 1), x=0.5 unit 2 (0.5)
         save_model(WtaModel(
-            ModelShape(ExpansionSpec(input_dim=1, order=0), 3, mode="classification",
-                       class_of_unit=[0, 1, 2]),
+            ModelShape(ExpansionSpec(input_dim=1, order=0), 3, class_of_unit=[0, 1, 2]),
             [[2.0, -1.0], [-2.0, 1.0], [0.0, 0.5]], np.zeros((3, 2)),
             class_names=names, normalization=[[0.0, 1.0]],
         ), model)
@@ -922,6 +947,32 @@ class TestJsonText:
         assert (code, out) == (1, "")
         assert err.startswith(f"error:{category}: {what} file {path} is not UTF-8: ")
         assert err.count("\n") == 1 and "0xff" in err
+
+    @pytest.mark.parametrize("what, key", [
+        ("config", "model"), ("config", "units"), ("model", "mode"), ("instance", "k"),
+    ])
+    def test_json_with_a_duplicate_key_fails_with_one_error_line(
+            self, tmp_path, capsys, f1_model, what, key):
+        # json keeps a repeated key's last value; these files refuse it, at any depth
+        path = tmp_path / f"{what}.json"
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n")
+        out_dir = tmp_path / "out"
+        text, argv, category = {
+            "config": (write_config(tmp_path).read_text(),
+                       ["--out-dir", str(out_dir), "train", str(path)], "config"),
+            "model": (f1_model.read_text(), ["eval", str(path), str(data)], "data"),
+            "instance": ('{"x": [3, 1, 2], "k": 2}', ["kselect", str(path)], "data"),
+        }[what]
+        if key == "units":
+            text = text.replace('"units": 2', '"units": 2, "units": 3')
+        else:
+            text = text.replace("{", f'{{"{key}": 1, ', 1)
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error:{category}: {what} file {path} has a duplicate key '{key}'\n"
+        assert not out_dir.exists()
 
 
 def model_file_text(*drop, **changes):
@@ -1001,6 +1052,12 @@ CLASSIFIER = {"mode": "classification",
      "class_names are meaningful in classification mode only"),
     (model_file_text(**CLASSIFIER, class_of_unit=[0, 1], output_activation="logistic"),
      "classification models take no output activation"),
+    # the mode key and class_of_unit must agree
+    (model_file_text(class_of_unit=[0]),
+     "model.class_of_unit is for classification models only"),
+    (model_file_text(**CLASSIFIER, class_names=["a", "b"]), "missing key model.class_of_unit"),
+    (model_file_text().replace('"v": ', '"v": [0.0, 0.0], "v": ', 1),
+     "model file {path} has a duplicate key 'v'"),
 ], ids=["list", "string", "truncated", "no-units", "no-mode", "no-spec",
         "no-output-activation", "unit-no-v", "unit-no-w", "units-number",
         "unit-number", "v-object", "version-bool", "version-1", "normalization-null",
@@ -1009,7 +1066,8 @@ CLASSIFIER = {"mode": "classification",
         "class-number", "names-string", "names-numbers", "names-number",
         "class-out-of-range", "normalization-strings", "normalization-bools",
         "unknown-key", "unit-unknown-key", "weight-strings", "weight-bool",
-        "weights-ragged", "regression-names", "classifier-logistic"])
+        "weights-ragged", "regression-names", "classifier-logistic",
+        "regression-classes", "classifier-no-classes", "duplicate-key"])
 def test_model_file_not_an_object_fails_with_one_error_line(
         tmp_path, capsys, command, text, message):
     model = tmp_path / "model.json"

@@ -389,7 +389,6 @@ class TestDatasetInvariants:
             Dataset(
                 inputs=np.zeros((0, 1)),
                 targets=np.zeros(0),
-                mode="regression",
                 normalization=np.array([[0.0, 1.0]]),
                 provenance="test",
             )
@@ -399,7 +398,26 @@ class TestDatasetInvariants:
             Dataset(
                 inputs=np.zeros((3, 1)),
                 targets=np.zeros(2),
-                mode="regression",
                 normalization=np.array([[0.0, 1.0]]),
                 provenance="test",
             )
+
+    def test_mode_follows_label_names(self):
+        regression = gen_function("f1", 4, seed=0)
+        assert regression.mode == "regression"
+        with pytest.raises(ValueError, match="classification datasets only"):
+            regression.n_classes
+        classes = Dataset(inputs=np.zeros((4, 1)), targets=[0, 1, 1, 0],
+                          normalization=[[0.0, 1.0]], provenance="test",
+                          label_names=("a", "b", "c"))
+        assert classes.mode == "classification" and classes.n_classes == 3
+        assert classes.targets.dtype == np.int64
+
+    @pytest.mark.parametrize("targets", [[0, 0, 1, 1, 2, 2], [0, 0, 1, 1, -1, -1]])
+    def test_labels_must_index_label_names(self, targets):
+        # label 2 (or -1) names no class, and a stratified split would
+        # quietly drop its rows
+        with pytest.raises(ValueError, match=r"index label_names \(0\.\.1\)"):
+            Dataset(inputs=np.zeros((6, 1)), targets=targets,
+                    normalization=[[0.0, 1.0]], provenance="test",
+                    label_names=("a", "b"))

@@ -77,10 +77,10 @@ def edge_population(kind, size, n=60, seed=45):
     if kind == 3:
         shape = ModelShape.for_classification(spec, 3, units_per_class=2)
         ds = Dataset(inputs=x, targets=rng.integers(0, 3, size=n),
-                     mode="classification", normalization=norm, provenance="test")
+                     normalization=norm, provenance="test", label_names=("a", "b", "c"))
     else:
         shape = ModelShape(spec=spec, n_units=4, output_activation=kind)
-        ds = Dataset(inputs=x, targets=rng.normal(size=n), mode="regression",
+        ds = Dataset(inputs=x, targets=rng.normal(size=n),
                      normalization=norm, provenance="test")
     m, half = shape.pattern_dim, shape.n_units * shape.pattern_dim
     population = rng.uniform(-2, 2, size=(size, shape.n_genes))
@@ -220,7 +220,7 @@ class TestFitness:
     def test_all_zero_chromosome_scores_negative_mean_square(self):
         ds = tiny_dataset()
         shape = tiny_shape()
-        value = FitnessEvaluator(ds, shape)(np.zeros(shape.n_genes))
+        [value] = FitnessEvaluator(ds, shape)(np.zeros((1, shape.n_genes)))
         assert value == -float(np.mean(ds.targets ** 2))
 
     def test_perfect_predictor_scores_zero(self):
@@ -231,10 +231,10 @@ class TestFitness:
         x = rng.uniform(0, 1, size=(30, 1))
         from wtanet import Dataset
         ds = Dataset(
-            inputs=x, targets=2.0 * x[:, 0], mode="regression",
+            inputs=x, targets=2.0 * x[:, 0],
             normalization=np.array([[0.0, 1.0]]), provenance="test",
         )
-        assert FitnessEvaluator(ds, shape)(np.array([2.0, 0.0])) == 0.0
+        assert FitnessEvaluator(ds, shape)(np.array([[2.0, 0.0]]))[0] == 0.0
 
     def test_matches_hand_looped_mse(self):
         rng = np.random.default_rng(2)
@@ -249,7 +249,8 @@ class TestFitness:
             winner = excitations.index(max(excitations))
             out = excitations[winner] - float(np.dot(model.inhibitory[winner], p))
             total += (out - float(ds.targets[i])) ** 2
-        assert FitnessEvaluator(ds, shape)(genes) == pytest.approx(-total / 20, rel=1e-12)
+        [value] = FitnessEvaluator(ds, shape)(genes[None])
+        assert value == pytest.approx(-total / 20, rel=1e-12)
 
     def test_classification_error_rate(self):
         rng = np.random.default_rng(3)
@@ -257,7 +258,7 @@ class TestFitness:
         x = rng.uniform(0, 1, size=(40, 2))
         y = (x[:, 0] > 0.5).astype(int)
         ds = Dataset(
-            inputs=x, targets=y, mode="classification",
+            inputs=x, targets=y,
             normalization=np.array([[0.0, 1.0], [0.0, 1.0]]),
             provenance="test", label_names=("lo", "hi"),
         )
@@ -272,26 +273,26 @@ class TestFitness:
             winner = int(np.argmax(model.excitatory @ p))
             if shape.class_of_unit[winner] != y[i]:
                 wrong += 1
-        assert evaluator(genes) == -wrong / 40
+        assert evaluator(genes[None])[0] == -wrong / 40
 
     def test_non_finite_prediction_gets_worst_sentinel(self):
         ds = tiny_dataset()
         shape = tiny_shape(order=0)
         genes = np.full(shape.n_genes, 1e308)  # finite genes, overflowing dot
-        assert FitnessEvaluator(ds, shape)(genes) == -np.inf
+        assert FitnessEvaluator(ds, shape)(genes[None])[0] == -np.inf
 
     def test_non_finite_excitation_gets_worst_sentinel_in_classification(self):
         from wtanet import Dataset
         ds = Dataset(
-            inputs=[[0.2], [0.9]], targets=[0, 1], mode="classification",
-            normalization=[[0.0, 1.0]], provenance="test",
+            inputs=[[0.2], [0.9]], targets=[0, 1],
+            normalization=[[0.0, 1.0]], provenance="test", label_names=("a", "b"),
         )
         shape = ModelShape.for_classification(
             ExpansionSpec(input_dim=1, order=0), n_classes=2
         )
         # every excitation overflows; the error rate would read 0.5
         genes = np.full(shape.n_genes, 1.5e308)
-        assert FitnessEvaluator(ds, shape)(genes) == -np.inf
+        assert FitnessEvaluator(ds, shape)(genes[None])[0] == -np.inf
 
     def test_population_kernel_matches_per_chromosome_reference(self):
         rng = np.random.default_rng(40)
@@ -316,14 +317,13 @@ class TestFitness:
                     spec, kind, units_per_class=n_units // kind
                 )
                 ds = Dataset(inputs=x, targets=rng.integers(0, kind, size=n),
-                             mode="classification", normalization=norm,
-                             provenance="test")
+                             normalization=norm, provenance="test",
+                             label_names=tuple("abc"[:kind]))
             else:
                 shape = ModelShape(spec=spec, n_units=n_units,
                                    output_activation=kind)
                 ds = Dataset(inputs=x, targets=rng.normal(size=n),
-                             mode="regression", normalization=norm,
-                             provenance="test")
+                             normalization=norm, provenance="test")
             population = rng.uniform(-2, 2, size=(size, shape.n_genes))
             # exact excitation ties in half the population: the lower unit wins
             m = shape.pattern_dim
@@ -346,10 +346,10 @@ class TestFitness:
         if kind == 3:
             shape = ModelShape.for_classification(spec, 3, units_per_class=2)
             ds = Dataset(inputs=x, targets=rng.integers(0, 3, size=90),
-                         mode="classification", normalization=norm, provenance="test")
+                         normalization=norm, provenance="test", label_names=("a", "b", "c"))
         else:
             shape = ModelShape(spec=spec, n_units=5, output_activation=kind)
-            ds = Dataset(inputs=x, targets=rng.normal(size=90), mode="regression",
+            ds = Dataset(inputs=x, targets=rng.normal(size=90),
                          normalization=norm, provenance="test")
         m, n_units = shape.pattern_dim, shape.n_units
         half = n_units * m
@@ -405,10 +405,10 @@ class TestFitness:
         if kind == 3:
             shape = ModelShape.for_classification(spec, 3, units_per_class=2)
             ds = Dataset(inputs=x, targets=rng.integers(0, 3, size=60),
-                         mode="classification", normalization=norm, provenance="test")
+                         normalization=norm, provenance="test", label_names=("a", "b", "c"))
         else:
             shape = ModelShape(spec=spec, n_units=4, output_activation=kind)
-            ds = Dataset(inputs=x, targets=rng.normal(size=60), mode="regression",
+            ds = Dataset(inputs=x, targets=rng.normal(size=60),
                          normalization=norm, provenance="test")
         work = shape.n_units * shape.pattern_dim * ds.n_samples
         monkeypatch.setattr(ga, "_BLOCK_MULTIPLY_ADDS", 3 * work + work // 2)
@@ -419,11 +419,11 @@ class TestFitness:
         monkeypatch.undo()
 
         def alone(genes):
-            return np.float64(FitnessEvaluator(ds, shape)(genes)).tobytes()
+            return FitnessEvaluator(ds, shape)(genes[None]).tobytes()
 
         want = b"".join(alone(genes) for genes in population)
         assert evaluator(population).tobytes() == want
-        assert np.float64(evaluator(lone)).tobytes() == alone(lone)
+        assert evaluator(lone[None]).tobytes() == alone(lone)
         assert evaluator(population).tobytes() == want
 
     @pytest.mark.parametrize("kind", ["identity", "logistic", 3])
@@ -624,17 +624,16 @@ class TestFitness:
         evaluator(genes, helper=helper)
         assert evaluator._rows == 9 and len(evaluator._products) == 1
 
-    def test_fitness_shape_follows_the_genes(self):
+    def test_only_populations_are_scored(self):
         ds = tiny_dataset()
         shape = tiny_shape(order=1, n_units=3)
         evaluator = FitnessEvaluator(ds, shape)
         genes = np.random.default_rng(41).uniform(-1, 1, size=(2, 3, shape.n_genes))
-        fits = evaluator(genes)
-        assert fits.shape == (2, 3)
-        single = evaluator(genes[1, 2])
-        assert type(single) is float and single == fits[1, 2]
-        with pytest.raises(ValueError, match="length mismatch"):
-            evaluator(np.zeros((4, shape.n_genes + 1)))
+        assert evaluator(genes[1]).shape == (3,)
+        expected = rf"expected a \(P, {shape.n_genes}\) population, got shape"
+        for refused in (genes, genes[1, 2], np.zeros((4, shape.n_genes + 1))):
+            with pytest.raises(ValueError, match=expected):
+                evaluator(refused)
 
     def test_nan_excitation_of_a_later_unit_gets_worst_sentinel(self):
         # argmax lets the NaN unit win, so every output is NaN; a plain
@@ -644,7 +643,7 @@ class TestFitness:
         genes = np.random.default_rng(42).uniform(-1, 1, size=shape.n_genes)
         genes[shape.pattern_dim] = np.nan  # unit 1, first excitatory weight
         assert reference_fitness(ds, shape, genes) == -np.inf
-        assert FitnessEvaluator(ds, shape)(genes) == -np.inf
+        assert FitnessEvaluator(ds, shape)(genes[None])[0] == -np.inf
 
 
 class TestEvolveGeneration:
@@ -746,7 +745,7 @@ class TestTrain:
         rng = np.random.default_rng(42)
         population = rng.uniform(-1, 1, size=(10, shape.n_genes))
         evaluator = FitnessEvaluator(ds, shape)
-        fits = [evaluator(g) for g in population]
+        fits = [evaluator(g[None])[0] for g in population]
         assert trace.best_fitness_value == max(fits)
 
     def test_fixed_seed_reproduces_model_bit_exactly(self):

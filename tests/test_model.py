@@ -67,7 +67,7 @@ class TestForward:
     def test_classification_outputs_winner_class(self):
         spec = raw_passthrough_spec(2)
         model = WtaModel(
-            ModelShape(spec, 2, mode="classification", class_of_unit=[4, 9]),
+            ModelShape(spec, 2, class_of_unit=[4, 9]),
             [[1, 0], [0, 1]], np.zeros((2, 2)),
         )
         assert predict(model, [[0.1, 0.8], [0.8, 0.1]])[1].tolist() == [9, 4]
@@ -95,7 +95,7 @@ class TestForward:
 
     def test_non_finite_excitation_rejected_in_classification(self):
         spec = raw_passthrough_spec(1)
-        model = WtaModel(ModelShape(spec, 2, mode="classification", class_of_unit=[0, 1]),
+        model = WtaModel(ModelShape(spec, 2, class_of_unit=[0, 1]),
                          [[1e308], [-1e308]], np.zeros((2, 1)))
         with pytest.raises(ValueError, match="non-finite output at row 0"):
             predict(model, [[2.0]])
@@ -191,9 +191,21 @@ class TestModelValidation:
             WtaModel(ModelShape(spec, 2), np.zeros((2, 5)), np.zeros((2, 5)))
 
     def test_classification_requires_unit_classes(self):
+        # a shape is a classifier exactly when it has class_of_unit, so the
+        # model file's mode key is what must agree with it
         spec = raw_passthrough_spec(2)
-        with pytest.raises(ValueError, match="class_of_unit"):
-            ModelShape(spec, 2, mode="classification")
+        assert ModelShape(spec, 2).mode == "regression"
+        assert ModelShape(spec, 2, class_of_unit=(0, 1)).mode == "classification"
+        doc = model_to_dict(WtaModel(ModelShape(spec, 2, class_of_unit=(0, 1)),
+                                     np.eye(2), np.zeros((2, 2)), class_names=["a", "b"],
+                                     normalization=[[0.0, 1.0]] * 2))
+        del doc["class_of_unit"]
+        with pytest.raises(ValueError, match="^missing key model.class_of_unit$"):
+            model_from_dict(doc)
+        doc.update(mode="regression", class_of_unit=[0, 1])
+        del doc["class_names"]
+        with pytest.raises(ValueError, match="class_of_unit is for classification models only"):
+            model_from_dict(doc)
 
     def test_non_finite_weights_rejected(self):
         spec = raw_passthrough_spec(1)
@@ -242,7 +254,7 @@ class TestSerialization:
     def test_classification_round_trip_keeps_labels(self, tmp_path):
         spec = raw_passthrough_spec(2)
         model = WtaModel(
-            ModelShape(spec, 2, mode="classification", class_of_unit=[0, 1]),
+            ModelShape(spec, 2, class_of_unit=[0, 1]),
             [[1, 0], [0, 1]], np.zeros((2, 2)),
             class_names=["cat", "dog"], normalization=[[0.0, 1.0], [2.0, 5.0]],
         )
@@ -293,8 +305,7 @@ class TestSerialization:
                        path)
         with pytest.raises(ValueError, match="class_names"):
             save_model(WtaModel(
-                ModelShape(raw_passthrough_spec(1), 2, mode="classification",
-                           class_of_unit=[0, 1]),
+                ModelShape(raw_passthrough_spec(1), 2, class_of_unit=[0, 1]),
                 [[1.0], [0.5]], np.zeros((2, 1)), normalization=[[0.0, 1.0]],
             ), path)
         assert not path.exists()
