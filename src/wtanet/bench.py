@@ -211,10 +211,14 @@ class Density:
         k = self.k_values
         if not k or any(b <= a for a, b in zip(k, k[1:])):
             raise ValueError(f"k_values must be strictly increasing, got {list(k)}")
+        if k[0] < 0:
+            raise ValueError(f"k_values must be non-negative, got {list(k)}")
         if len(self.seeds) < 3:
             raise ValueError(f"need at least 3 seeds, got {len(self.seeds)}")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,12 @@ class Dataset:
     def __post_init__(self) -> None:
         # own copies so freezing them cannot affect caller-held arrays
         self.inputs = np.array(self.inputs, dtype=np.float64, copy=True)
-        self.targets = np.array(self.targets, copy=True, dtype=np.float64
-                                if self.label_names is None else np.int64)
+        self.targets = np.array(self.targets, dtype=np.float64, copy=True)
+        if self.label_names is not None:
+            bad = ~np.isfinite(self.targets) | (self.targets != np.round(self.targets))
+            if bad.any():
+                raise ValueError(f"class labels must be integers, got {self.targets[bad][0]}")
+            self.targets = self.targets.astype(np.int64)
         self.normalization = np.array(self.normalization, dtype=np.float64, copy=True)
         if self.inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got shape {self.inputs.shape}")

@@ -421,3 +421,13 @@ class TestDatasetInvariants:
             Dataset(inputs=np.zeros((6, 1)), targets=targets,
                     normalization=[[0.0, 1.0]], provenance="test",
                     label_names=("a", "b"))
+
+    @pytest.mark.parametrize("targets, bad", [([0.7, 1.9, 0.2, 1.0], "0.7"),
+                                              ([0, 1, float("nan"), 1], "nan")],
+                             ids=["fractional", "nan"])
+    def test_labels_must_be_integers(self, targets, bad):
+        # an int64 cast would truncate 0.7 to label 0 without a word
+        with pytest.raises(ValueError, match=f"class labels must be integers, got {bad}$"):
+            Dataset(inputs=[[0], [1], [0.5], [0.2]], targets=targets,
+                    normalization=[[0.0, 1.0]], provenance="test",
+                    label_names=("a", "b"))
