@@ -219,6 +219,8 @@ class Density:
             raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
+        if self.slack < 0:
+            raise ValueError(f"slack must be non-negative, got {self.slack}")
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,9 @@ from .data import (
     gen_function,
     gen_mackey_glass,
     load_csv,
-    parse_features,
-    read_columns,
-    repr_cells,
     load_features,
+    load_matrix,
+    repr_cells,
     series_to_csv,
     dataset_to_csv,
     write_csv,
@@ -129,7 +128,7 @@ def _read_instance(name, path, k) -> dict:
         doc = read_json(path, "instance file")
         doc = {vectors[0]: doc} if isinstance(doc, list) else doc
     else:
-        raw = parse_features(read_columns(path), None)[1]
+        raw = load_matrix(path)
         raw = raw.T if len(vectors) == 1 and raw.shape[1] == 1 else raw
         if len(raw) != len(vectors):
             shape = "one row or column" if len(vectors) == 1 else f"{len(vectors)} rows"

@@ -9,7 +9,9 @@ pure functions of their parameters and seed (numpy PCG64 streams).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -171,14 +173,12 @@ def _dataset(raw: np.ndarray, targets, provenance: str, *,
                    provenance=provenance, label_names=label_names)
 
 
-def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
-    """Read a CSV file into a list of string rows (header row dropped)."""
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            rows = list(filter(None, csv.reader(fh)))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"malformed CSV {path}: {exc}") from None
+def read_csv_matrix(text: str, path, *, header: bool = False) -> list[tuple[str, ...]]:
+    """csv.reader's cells of ``text`` (from ``path``), one tuple per column, header dropped."""
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(text, newline=""))))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV {path}: {exc}") from None
     if header and rows:
         del rows[0]
     if not rows:
@@ -186,15 +186,7 @@ def read_csv_matrix(path, *, header: bool = False) -> list[list[str]]:
     if len(set(map(len, rows))) > 1:
         width = len(rows[0])
         r, row = next((r, row) for r, row in enumerate(rows) if len(row) != width)
-        raise ValueError(
-            f"ragged CSV: row {r + 1} has {len(row)} cells, expected {width}"
-        )
-    return rows
-
-
-def read_columns(path, header: bool = False) -> list[tuple[str, ...]]:
-    """The cells of a CSV file's data rows, one tuple per column."""
-    rows = read_csv_matrix(path, header=header)
+        raise ValueError(f"ragged CSV: row {r + 1} has {len(row)} cells, expected {width}")
     return [tuple(map(itemgetter(c), rows)) for c in range(len(rows[0]))]
 
 
@@ -234,6 +226,66 @@ def _numbers(columns: list[tuple[str, ...]], picks: list[int]) -> np.ndarray:
     return raw
 
 
+class _Rows:
+    """csv.reader's data rows and float(): any text can take this path, and every error line."""
+
+    def __init__(self, text: str, path, header: bool):
+        self.columns = read_csv_matrix(text, path, header=header)
+        self.width = len(self.columns)
+
+    def numbers(self, *groups: list[int]) -> list[np.ndarray]:  # one matrix per group
+        return [_numbers(self.columns, picks) for picks in groups]
+
+
+class _Lines(_Rows):
+    """Plain lines: numbers by one pass of numpy's C reader, cells by one split."""
+
+    def __init__(self, lines: list[str]):
+        self.lines, self.width = lines, lines[0].count(",") + 1
+
+    def numbers(self, *groups: list[int]) -> list[np.ndarray]:
+        used = sorted(set().union(*groups))
+        usecols = used if len(used) < self.width else None
+        # with usecols numpy takes rows of other widths than the first
+        if usecols and len({line.count(",") for line in self.lines}) > 1:
+            raise ValueError("ragged lines")
+        raw = np.loadtxt(self.lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                         usecols=usecols)
+        if not np.isfinite(raw).all():
+            raise ValueError("a non-finite cell")
+        # take() keeps the rows C-contiguous, as _numbers makes them, so reductions
+        # over them (the feature ranges) break ties between 0.0 and -0.0 alike
+        return [raw.take([used.index(c) for c in picks], axis=1) for picks in groups]
+
+    @property
+    def columns(self) -> list[tuple[str, ...]]:
+        # numbers() has checked that every line has the first line's width
+        cells = ",".join(self.lines).split(",")
+        return [tuple(cells[c::self.width]) for c in range(self.width)]
+
+
+def _load(path, header: bool, load):
+    """``load(table)`` of the data rows of the CSV file ``path``, read once.
+
+    csv.reader's rows of plain text (no '"', ASCII, no line over the field size limit) are
+    its non-empty lines cut at commas: a _Lines table, unless ``load`` raises ValueError on
+    it, where the result could differ from the _Rows table's that other text takes.
+    """
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"malformed CSV {path}: {exc}") from None
+    if '"' not in text and text.isascii():
+        lines = list(filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+        limit = csv.field_size_limit()
+        if len(lines) > header and (len(text) <= limit or max(map(len, lines)) <= limit):
+            with contextlib.suppress(ValueError):  # else csv.reader and float() decide
+                return load(_Lines(lines[header:]))
+    return load(_Rows(text, path, header))
+
+
 def _column_index(width: int, column: int, name: str) -> int:
     index = column if column >= 0 else width + column
     if not 0 <= index < width:
@@ -241,13 +293,14 @@ def _column_index(width: int, column: int, name: str) -> int:
     return index
 
 
-def parse_features(columns: list[tuple[str, ...]],
-                   drop: int | None) -> tuple[list[int], np.ndarray]:
-    """Indices of the feature columns (all but ``drop``) and their raw values."""
-    feature_cols = [c for c in range(len(columns)) if c != drop]
-    if not feature_cols:
+def _split_columns(width: int, target_column: int | None) -> tuple[int | None, list[int]]:
+    """The index of ``target_column`` (None for none), and of every other column."""
+    target = None if target_column is None else \
+        _column_index(width, target_column, "target_column")
+    features = [c for c in range(width) if c != target]
+    if not features:
         raise ValueError("no feature columns left after removing the target")
-    return feature_cols, _numbers(columns, feature_cols)
+    return target, features
 
 
 def load_csv(path, *, target_column: int = -1, mode: str,
@@ -270,17 +323,19 @@ def load_csv(path, *, target_column: int = -1, mode: str,
         normalization: optional (n, 2) per-feature (min, max) pairs.
     """
     _check_mode(mode)
-    columns = read_columns(path, header)
-    target = _column_index(len(columns), target_column, "target_column")
-    _, raw = parse_features(columns, target)
-    if mode == REGRESSION:
-        return _dataset(raw, _numbers(columns, [target])[:, 0], f"csv:{path}",
-                        normalization=normalization)
-    label_ids: dict[str, int] = {}  # insertion order is first-appearance order
-    targets = [label_ids.setdefault(cell.strip(), len(label_ids))
-               for cell in columns[target]]
-    return _dataset(raw, targets, f"csv:{path}", normalization=normalization,
-                    label_names=tuple(label_ids))
+
+    def load(table):
+        target, features = _split_columns(table.width, target_column)
+        if mode == REGRESSION:
+            raw, targets = table.numbers(features, [target])
+            return _dataset(raw, targets[:, 0], f"csv:{path}", normalization=normalization)
+        (raw,) = table.numbers(features)
+        label_ids: dict[str, int] = {}  # insertion order is first-appearance order
+        targets = [label_ids.setdefault(cell.strip(), len(label_ids))
+                   for cell in table.columns[target]]
+        return _dataset(raw, targets, f"csv:{path}", normalization=normalization,
+                        label_names=tuple(label_ids))
+    return _load(path, header, load)
 
 
 def load_features(path, *, normalization, drop_column: int | None = None,
@@ -292,11 +347,17 @@ def load_features(path, *, normalization, drop_column: int | None = None,
     and the features normalized by ``normalization``, the (n, 2)
     (min, max) pairs of the model that ``predict`` serves.
     """
-    columns = read_columns(path, header)
-    drop = None if drop_column is None \
-        else _column_index(len(columns), drop_column, "target_column")
-    feature_cols, raw = parse_features(columns, drop)
-    return [columns[c] for c in feature_cols], normalize(raw, normalization)
+    def load(table):
+        _, features = _split_columns(table.width, drop_column)
+        (raw,) = table.numbers(features)
+        columns = table.columns
+        return [columns[c] for c in features], normalize(raw, normalization)
+    return _load(path, header, load)
+
+
+def load_matrix(path) -> np.ndarray:
+    """Every cell of a headerless CSV file, as an (N, n) matrix of finite floats."""
+    return _load(path, False, lambda table: table.numbers(list(range(table.width)))[0])
 
 
 def _round_half_up(x: float) -> int:
@@ -505,5 +566,6 @@ def series_to_csv(series, path, *, header: bool = False) -> None:
 
 def load_series_csv(path, *, column: int = 0, header: bool = False) -> np.ndarray:
     """Read one numeric column of a CSV file as a scalar series."""
-    columns = read_columns(path, header)
-    return _numbers(columns, [_column_index(len(columns), column, "column")])[:, 0]
+    def load(table):
+        return table.numbers([_column_index(table.width, column, "column")])[0][:, 0]
+    return _load(path, header, load)

@@ -63,13 +63,11 @@ def expand_batch(spec: ExpansionSpec, x) -> np.ndarray:
     k = spec.order
     out = np.empty((n_rows, expansion_dim(spec)), dtype=np.float64)
     out[:, :n] = x
-    col = n
-    for i in range(n):
-        for h in range(1, k + 1):
-            arg = np.pi * h * x[:, i]
-            out[:, col] = np.sin(arg)
-            out[:, col + 1] = np.cos(arg)
-            col += 2
+    # every harmonic h of every component i at once: arg[:, i, h - 1] = (pi * h) * x[:, i]
+    arg = x[:, :, None] * (np.pi * np.arange(1, k + 1))
+    harmonics = out[:, n:n + 2 * n * k].reshape(n_rows, n, k, 2)
+    np.sin(arg, out=harmonics[..., 0])
+    np.cos(arg, out=harmonics[..., 1])
     if spec.include_bias:
-        out[:, col] = 1.0
+        out[:, -1] = 1.0
     return out

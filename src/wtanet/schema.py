@@ -50,8 +50,8 @@ def _describe(value) -> str:
     return json.dumps(value, default=repr)
 
 
-def _key(where: str, name: str) -> str:
-    return f"{where}.{name}" if where else name
+def _key(where: str, name) -> str:  # name is a key, or a list index
+    return f"{where}[{name}]" if isinstance(name, int) else f"{where}.{name}" if where else name
 
 
 def read_json(path, what: str):
@@ -93,7 +93,7 @@ def parse(cls, doc, where: str = ""):
         cls = cls.section_class(doc, where)
     hints = _type_hints(cls)
     fields = _init_fields(cls)
-    kwargs = {name: _value(hints[name], doc[name], _key(where, name))
+    kwargs = {name: _value(hints[name], doc[name], where, name)
               for name in fields if name in doc}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
@@ -104,7 +104,8 @@ def parse(cls, doc, where: str = ""):
     return cls(**kwargs)
 
 
-def _value(tp, value, where: str):
+def _value(tp, value, where: str, name):
+    # the key path of ``value`` is _key(where, name), formatted only for an error
     if tp in _TYPE_NAMES:
         if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
                 and abs(value) <= sys.float_info.max:
@@ -113,18 +114,19 @@ def _value(tp, value, where: str):
             return value
         if tp in (bool, str, list) and isinstance(value, tp):
             return value
-        raise ValueError(f"{where} must be {_TYPE_NAMES[tp]}, got {_describe(value)}")
+        raise ValueError(f"{_key(where, name)} must be {_TYPE_NAMES[tp]}, got {_describe(value)}")
     origin, args = _origin_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _value(tp, value, where)
+        return _value(tp, value, where, name)
     if origin is typing.Literal:
         if any(value == a and type(value) is type(a) for a in args):
             return value
         choices = ", ".join(json.dumps(a) for a in args)
-        raise ValueError(f"{where} must be one of {choices}, got {_describe(value)}")
+        raise ValueError(f"{_key(where, name)} must be one of {choices}, got {_describe(value)}")
+    where = _key(where, name)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where} must be a list, got {_describe(value)}")
@@ -133,6 +135,5 @@ def _value(tp, value, where: str):
         elif len(value) != len(args):
             raise ValueError(f"{where} must be a list of {len(args)} values, "
                              f"got {len(value)}")
-        return tuple(_value(t, v, f"{where}[{i}]")
-                     for i, (t, v) in enumerate(zip(args, value)))
+        return tuple(_value(t, v, where, i) for i, (t, v) in enumerate(zip(args, value)))
     return parse(tp, value, where)

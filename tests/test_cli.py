@@ -172,6 +172,8 @@ class TestTrainCommand:
          "seeds must not repeat, got [0, 0, 0]"),
         ("density", {"density": {"k_values": [-1, 0], "seeds": [0, 1, 2]}}, [],
          "k_values must be non-negative, got [-1, 0]"),
+        ("density", {"density": {"k_values": [0, 1], "seeds": [0, 1, 2], "slack": -1}}, [],
+         "slack must be non-negative, got -1.0"),
         ("train", {"model": {"mode": "classification", "units_per_class": 2}}, [],
          "classification needs a CSV dataset with a class column"),
         ("train", {"model": {"mode": "classification", "units": 2}}, [],
@@ -180,7 +182,7 @@ class TestTrainCommand:
          "units_per_class does not apply to regression models"),
     ], ids=["seed-negative", "seed-flag-negative", "density-two-seeds",
             "density-orders-repeat", "density-seed-negative", "density-seeds-repeat",
-            "density-order-negative",
+            "density-order-negative", "density-slack-negative",
             "classification-generator", "classification-units",
             "regression-units-per-class"])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, change,

@@ -431,3 +431,203 @@ class TestDatasetInvariants:
             Dataset(inputs=[[0], [1], [0.5], [0.2]], targets=targets,
                     normalization=[[0.0, 1.0]], provenance="test",
                     label_names=("a", "b"))
+
+
+# the csv.reader and float() reading that every loader must match, bulk path or not
+def _reference_columns(path, header):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"malformed CSV {path}: {exc}") from None
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV {path}: {exc}") from None
+    rows = rows[1:] if header else rows
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"ragged CSV: row {r + 1} has {len(row)} cells, "
+                             f"expected {len(rows[0])}")
+    return list(zip(*rows))
+
+
+def _reference_index(width, column, name):
+    index = column if column >= 0 else width + column
+    if not 0 <= index < width:
+        raise ValueError(f"{name} {column} out of range for {width} columns")
+    return index
+
+
+def _reference_numbers(columns, picks):
+    rows = list(zip(*(columns[c] for c in picks)))
+    for r, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                cell = None
+            if cell is None or "_" in cell or not cell.isascii():
+                raise ValueError(f"unparseable cell at row {r + 1}, column {picks[j] + 1}: "
+                                 f"{row[j]!r}")
+    for r, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if not math.isfinite(float(cell)):
+                raise ValueError(f"non-finite cell at row {r + 1}, column {picks[j] + 1}: "
+                                 f"{cell!r}")
+    return np.array([[float(cell) for cell in row] for row in rows]).reshape(-1, len(picks))
+
+
+def _features(width, drop):
+    features = [c for c in range(width) if c != drop]
+    if not features:
+        raise ValueError("no feature columns left after removing the target")
+    return features
+
+
+def _reference_load(path, header, kind, column):
+    """What ``kind`` of loader returns for the file, as bytes and cells."""
+    columns = _reference_columns(path, header)
+    width = len(columns)
+    if kind == "series":
+        return _reference_numbers(columns, [_reference_index(width, column, "column")]).tobytes()
+    if kind == "features":
+        drop = None if column is None else _reference_index(width, column, "target_column")
+        features = _features(width, drop)
+        return (_reference_numbers(columns, features).tobytes(),
+                [columns[c] for c in features])
+    target = _reference_index(width, column, "target_column")
+    raw = _reference_numbers(columns, _features(width, target))
+    # a file's own feature ranges; min and max pick between 0.0 and -0.0 by the layout
+    ranges = np.column_stack([raw.min(axis=0), raw.max(axis=0)]).tobytes()
+    if kind == "regression":
+        return raw.tobytes(), ranges, _reference_numbers(columns, [target]).tobytes()
+    labels = {}
+    ids = [labels.setdefault(cell.strip(), len(labels)) for cell in columns[target]]
+    return raw.tobytes(), ranges, np.array(ids).tobytes(), tuple(labels)
+
+
+def _load(path, header, kind, column):
+    """The same from the package; identity normalization keeps the raw bits."""
+    try:
+        width = len(_reference_columns(path, header))
+    except ValueError:
+        width = 1
+    identity = [[0.0, 1.0]] * width
+    if kind == "series":
+        return load_series_csv(path, column=column, header=header).tobytes()
+    if kind == "features":
+        cells, inputs = load_features(path, normalization=identity[:width - (column is not None)],
+                                      drop_column=column, header=header)
+        return inputs.tobytes(), cells
+    ds = load_csv(path, target_column=column, mode=kind, header=header,
+                  normalization=identity[:width - 1])
+    ranges = load_csv(path, target_column=column, mode=kind, header=header).normalization
+    if kind == "regression":
+        return ds.inputs.tobytes(), ranges.tobytes(), ds.targets.tobytes()
+    return ds.inputs.tobytes(), ranges.tobytes(), ds.targets.tobytes(), ds.label_names
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["+.5", "1.", "-0", "0.0", "-0.00", "5E+3", "4.9e-324", "1e-400", " 3 ", "\t-2\t",
+                     "\x0b1", "0.1000000000000000055511151231257827"]),
+)
+# what a numeric cell may not be, or what csv.reader reads differently from a split
+ODD_CELLS = st.one_of(
+    st.text(alphabet=[*"0123456789.e+-", " ", "\t", "\x0b", "_", "\uff11", "\u00a0",
+                      '"', ","], max_size=4),
+    st.sampled_from(["nan", "inf", "", " ", '"1"', '"1,5"', '"2"3']),
+)
+NON_FINITE_CELLS = st.sampled_from(["nan", "-inf", "1e400", " Infinity"])
+# class labels: plain, quoted, or not ASCII
+LABEL_CELLS = [st.sampled_from(["a", " b ", "1"]),
+               st.sampled_from(["a", '"c"', '"d,e"', '"f""g"']),
+               st.sampled_from(["a", "\u00e9"])]
+ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _one_in(draw, n):
+    return draw(st.integers(1, n)) == 2  # not 1: hypothesis favours the bounds
+
+
+@st.composite
+def csv_file(draw):
+    """The bytes of a CSV file that is mostly numbers, and how to read it."""
+    kind = draw(st.sampled_from(["regression", "classification", "features", "series"]))
+    width = draw(st.integers(1 if kind in ("features", "series") or _one_in(draw, 10) else 2, 4))
+    if kind == "series" or not _one_in(draw, 10):
+        column = draw(st.integers(-width, width - 1))
+    else:
+        column = draw(st.sampled_from([-width - 1, width]))
+    cells = draw(st.sampled_from([NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS,
+                                  NUMBER_CELLS | ODD_CELLS, NUMBER_CELLS | NON_FINITE_CELLS]))
+    row = st.lists(cells, min_size=width, max_size=width)
+    if kind == "classification" and -width <= column < width:
+        row = st.tuples(row, draw(st.sampled_from(LABEL_CELLS))).map(lambda r: [*r[0][:column % width], r[1],
+                                                    *r[0][column % width + 1:]])
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    if _one_in(draw, 6):  # one row a cell wider or narrower
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else [*rows[r], draw(NUMBER_CELLS)]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines
+        blank = draw(st.sampled_from([" ", "\t"])) if _one_in(draw, 5) else ""
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(draw(st.sampled_from(["x", "1"])) for _ in range(width)))
+    if _one_in(draw, 20):  # a cell over csv.field_size_limit()
+        lines[-1] += "," + "0" * csv.field_size_limit() + "1"
+    text = "".join(line + draw(ENDS) for line in lines[:-1]) + lines[-1] + \
+        draw(st.sampled_from(["", "\n", "\r\n"]))
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    if _one_in(draw, 8):  # invalid UTF-8 or a NUL
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3"])) + data[at:]
+    if kind == "features" and draw(st.booleans()):
+        column = None
+    return data, header, kind, column
+
+
+class TestBulkParse:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=csv_file())
+    def test_loaders_equal_csv_reader_and_float(self, case):
+        data, header, kind, column = case
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "data.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert _outcome(_load, path, header, kind, column) == \
+                _outcome(_reference_load, path, header, kind, column)
+
+    @pytest.mark.parametrize("text, kind, column", [
+        ("1,2\n3,4,5\n", "series", 0),
+        ("1,2,3\n4,5\n", "series", 1),
+        ("1,a\n2,b,3\n", "classification", 1),
+        ("1,2,3\n4,5,6,7\n", "features", 2),
+        ("1,2,3\n4,5\n", "features", 2),
+        ('1,2\n3,"4"\n', "features", None),
+        ('1,"a"\n2,b\n', "classification", -1),
+        ("1,2\r3,4\r\n\r\n5,\x0b6\n", "regression", 0),
+        # from 9 rows on, min and max over columns break 0.0/-0.0 ties by the layout
+        ("-0.0,1,a\n" + "1,1,b\n" * 7 + "0.0,1,a\n", "classification", -1),
+    ], ids=["series-wider", "series-narrower", "labels-wider", "features-wider",
+            "features-narrower", "quoted-number", "quoted-label", "line-ends",
+            "signed-zero-ranges"])
+    def test_edge_files(self, tmp_path, text, kind, column):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(_load, path, False, kind, column) == \
+            _outcome(_reference_load, path, False, kind, column)

@@ -78,3 +78,33 @@ class TestExpandBatch:
         x[2, 0] = np.inf
         with pytest.raises(ValueError, match="row 2"):
             expand_batch(spec, x)
+
+
+def _expand_by_columns(spec, x):
+    """The expansion one column and one harmonic at a time, as a reference."""
+    n_rows, n = x.shape
+    out = np.empty((n_rows, expansion_dim(spec)))
+    out[:, :n] = x
+    col = n
+    for i in range(n):
+        for h in range(1, spec.order + 1):
+            arg = np.pi * h * x[:, i]
+            out[:, col] = np.sin(arg)
+            out[:, col + 1] = np.cos(arg)
+            col += 2
+    if spec.include_bias:
+        out[:, col] = 1.0
+    return out
+
+
+class TestExpandBatchBits:
+    # (input_dim, order) of c01 and c08, c04, c07 and the f2 serving model, then order 0
+    @pytest.mark.parametrize("n, order", [(1, 3), (4, 1), (4, 2), (2, 3), (3, 0)],
+                             ids=["c01-c08", "c04", "c07", "f2", "order-0"])
+    @pytest.mark.parametrize("include_bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("rows", [1, 1000])
+    def test_equals_the_column_loop(self, n, order, include_bias, rows):
+        # served rows are normalized by the training range, so they may leave [0, 1]
+        x = np.random.default_rng([n, order, rows]).uniform(-2.0, 3.0, (rows, n))
+        spec = ExpansionSpec(input_dim=n, order=order, include_bias=include_bias)
+        assert expand_batch(spec, x).tobytes() == _expand_by_columns(spec, x).tobytes()
