@@ -8,6 +8,8 @@ and WTA-reducible linear-program solvers, dataset plumbing and a
 benchmark harness.
 """
 
+import types
+
 from .bench import (
     Density,
     DensityReport,
@@ -71,61 +73,5 @@ from .select import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLASSIFICATION",
-    "REGRESSION",
-    "Dataset",
-    "Density",
-    "DensityReport",
-    "EvalReport",
-    "Expansion",
-    "ExpansionSpec",
-    "ExperimentResult",
-    "FitnessEvaluator",
-    "GaConfig",
-    "KwtaResult",
-    "LpSolution",
-    "Model",
-    "ModelShape",
-    "OracleFit",
-    "PhaseError",
-    "RunConfig",
-    "SplitSpec",
-    "TrainTrace",
-    "WtaModel",
-    "accuracy",
-    "config_digest",
-    "confusion_matrix",
-    "dataset_to_csv",
-    "decode",
-    "density_check",
-    "encode",
-    "expand_batch",
-    "expansion_dim",
-    "gen_function",
-    "gen_mackey_glass",
-    "kwta",
-    "least_squares_oracle",
-    "load_csv",
-    "load_features",
-    "load_model",
-    "load_series_csv",
-    "mae",
-    "model_from_dict",
-    "model_to_dict",
-    "normalize",
-    "nrmse",
-    "predict",
-    "rmse",
-    "run_experiment",
-    "save_model",
-    "series_to_csv",
-    "solve_box_lp",
-    "solve_ksum_lp",
-    "solve_simplex_lp",
-    "split_dataset",
-    "trace_to_csv",
-    "train",
-    "window_series",
-    "wta",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

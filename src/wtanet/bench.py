@@ -348,12 +348,15 @@ def _evaluate_model(model: WtaModel, data: Dataset) -> tuple[dict, list | None, 
         metrics = {"accuracy": accuracy(outputs, targets)}
         confusion = confusion_matrix(outputs, targets, len(model.class_names)).tolist()
         return metrics, confusion, outputs
-    metrics = {
-        "rmse": rmse(outputs, data.targets),
-        "mae": mae(outputs, data.targets),
-    }
-    if float(np.std(data.targets)) > 0.0:
-        metrics["nrmse"] = nrmse(outputs, data.targets)
+    # outputs and targets are finite, but their errors or spread may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = {"rmse": rmse(outputs, data.targets), "mae": mae(outputs, data.targets)}
+        std = float(np.std(data.targets))
+        if std > 0.0:
+            metrics["nrmse"] = nrmse(outputs, data.targets)
+    for name, value in [*metrics.items(), ("target std", std)]:
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite {name}: the targets or outputs are too large")
     return metrics, None, outputs
 
 

@@ -56,10 +56,14 @@ class Dataset:
         # own copies so freezing them cannot affect caller-held arrays
         self.inputs = np.array(self.inputs, dtype=np.float64, copy=True)
         self.targets = np.array(self.targets, dtype=np.float64, copy=True)
+        bad = ~np.isfinite(self.targets)
         if self.label_names is not None:
-            bad = ~np.isfinite(self.targets) | (self.targets != np.round(self.targets))
-            if bad.any():
-                raise ValueError(f"class labels must be integers, got {self.targets[bad][0]}")
+            bad |= self.targets != np.round(self.targets)
+        if bad.any():
+            rule = "regression targets must be finite" if self.label_names is None \
+                else "class labels must be integers"
+            raise ValueError(f"{rule}, got {self.targets[bad][0]}")
+        if self.label_names is not None:
             self.targets = self.targets.astype(np.int64)
         self.normalization = np.array(self.normalization, dtype=np.float64, copy=True)
         if self.inputs.ndim != 2:
@@ -267,9 +271,11 @@ class _Lines(_Rows):
 def _load(path, header: bool, load):
     """``load(table)`` of the data rows of the CSV file ``path``, read once.
 
-    csv.reader's rows of plain text (no '"', ASCII, no line over the field size limit) are
-    its non-empty lines cut at commas: a _Lines table, unless ``load`` raises ValueError on
-    it, where the result could differ from the _Rows table's that other text takes.
+    csv.reader's rows of plain text (ASCII with no '"', NUL or \\x1c-\\x1f, and no line
+    over the field size limit) are its non-empty lines cut at commas: a _Lines table, unless
+    ``load`` raises ValueError on it, where the result could differ from the _Rows table's
+    that other text takes.  numpy strips \\x1c-\\x1f around a number, which float()
+    refuses, and csv.reader refuses NUL before Python 3.11.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -277,7 +283,7 @@ def _load(path, header: bool, load):
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"malformed CSV {path}: {exc}") from None
-    if '"' not in text and text.isascii():
+    if text.isascii() and not any(c in text for c in '"\0\x1c\x1d\x1e\x1f'):
         lines = list(filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
         limit = csv.field_size_limit()
         if len(lines) > header and (len(text) <= limit or max(map(len, lines)) <= limit):
@@ -475,7 +481,8 @@ def gen_function(which: str, n_samples: int, seed: int, *,
     provenance = f"generator:{which}(n_samples={n_samples},seed={seed})"
     if sigma is not None:
         eps = rng.standard_normal(n_samples)
-        y = y + (sigma if noise == NOISE_CONSTANT else sigma * x[:, 0]) * eps
+        with np.errstate(over="ignore"):  # Dataset refuses the inf of an overflow
+            y = y + (sigma if noise == NOISE_CONSTANT else sigma * x[:, 0]) * eps
         provenance = (f"generator:{which}+noise:{noise}"
                       f"(sigma={sigma},n_samples={n_samples},seed={seed})")
     return _dataset(x, y, provenance,
@@ -497,11 +504,12 @@ def gen_mackey_glass(length: int, *, tau: int = 17, beta: float = 0.2,
         raise ValueError(f"length must be >= tau+1 ({tau + 1}), got {length}")
     x = np.empty(length, dtype=np.float64)
     x[:tau] = initial
-    for t in range(tau, length):
-        delayed = x[t - tau]
-        x[t] = x[t - 1] + dt * (
-            beta * delayed / (1.0 + delayed ** exponent) - gamma * x[t - 1]
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails downstream
+        for t in range(tau, length):
+            delayed = x[t - tau]
+            x[t] = x[t - 1] + dt * (
+                beta * delayed / (1.0 + delayed ** exponent) - gamma * x[t - 1]
+            )
     return x
 
 

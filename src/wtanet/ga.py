@@ -29,8 +29,9 @@ at these skinny shapes and rounds some fitness values differently.
 Its rows go unit first, then chromosome, so each unit's activations
 over a block are one contiguous run, and the winner's inhibition is
 gathered at winner * block * N + np.arange(block * N).  Each worker
-writes its blocks' products into one buffer of its own, reused by every
-later block: fresh products per block fault in every page they touch.
+writes its blocks' products into one buffer of its own, made with the
+evaluator and reused by every block: fresh products per block fault in
+every page they touch.
 
 Where this process may run on two CPUs or more and each block's
 elementwise passes cover at least 20,000 elements (block * N),
@@ -113,8 +114,9 @@ class GaConfig:
                 f"elitism_count must be in [0, population_size), got {self.elitism_count}"
             )
         lo, hi = self.init_weight_range
-        if not lo < hi:
-            raise ValueError(f"init_weight_range must be (lo, hi) with lo < hi, got {self.init_weight_range}")
+        if not (lo < hi and np.isfinite(hi - lo)):  # rng.uniform refuses an infinite width
+            raise ValueError("init_weight_range must be (lo, hi) with lo < hi and a finite "
+                             f"hi - lo, got {self.init_weight_range}")
         if self.fitness_stagnation_patience < 1:
             raise ValueError("fitness_stagnation_patience must be >= 1")
 
@@ -160,11 +162,11 @@ class FitnessEvaluator:
     with one worker (:func:`train` makes it); then a call with two
     blocks or more hands blocks 1, 3, 5, ... to it and scores blocks 0,
     2, 4, ... itself, and returns, or raises, only once the helper is
-    done.  Each worker has its own product buffer and both share the
-    gather offsets; the calling thread sizes them before any hand-off,
-    so the helper's buffer exists only where a call has handed off.
-    One call at a time: an evaluator is not safe to call from two
-    threads at once.
+    done.  Each worker has its own (M*block, N) product buffer, made with
+    the evaluator, and both read the gather offsets; a block writes the
+    leading rows of its worker's buffer, and a page no block writes is
+    never touched.  One call at a time: an evaluator is not safe to call
+    from two threads at once.
     """
 
     def __init__(self, dataset: Dataset, shape: ModelShape):
@@ -186,7 +188,7 @@ class FitnessEvaluator:
         self.targets = dataset.targets
         if shape.mode == CLASSIFICATION:
             classes = np.asarray(shape.class_of_unit, dtype=np.int64)
-            missing = set(np.unique(dataset.targets)) - set(classes.tolist())
+            missing = set(np.unique(dataset.targets).tolist()) - set(classes.tolist())
             if missing:
                 raise ValueError(
                     f"classes {sorted(missing)} in the data are carried by no unit"
@@ -194,11 +196,14 @@ class FitnessEvaluator:
             self._unit_classes = classes
         # the smallest unsigned type that holds every unit index
         self._code = np.min_scalar_type(shape.n_units - 1).type
-        self._block = max(1, _BLOCK_MULTIPLY_ADDS
-                          // (shape.n_units * shape.pattern_dim * dataset.n_samples))
-        # the chromosomes the buffers hold, a product buffer per worker (0:
-        # the calling thread, 1: the helper) and the shared gather offsets
-        self._rows, self._products, self._offsets = 0, [], None
+        n = dataset.n_samples
+        self._block = max(1, _BLOCK_MULTIPLY_ADDS // (shape.n_units * shape.pattern_dim * n))
+        # a block's product buffer per worker (0: the calling thread, 1: the helper)
+        self._products = [np.empty((self._block * shape.n_units, n)) for _ in range(2)]
+        if shape.mode != CLASSIFICATION:
+            # flat index of unit 0's activation per (chromosome, sample) in the
+            # (M, block, N) product; the winner's sits winner * block * N on
+            self._offsets = np.arange(self._block * n).reshape(self._block, n)
 
     def __call__(self, population, helper=None) -> np.ndarray:
         population = np.asarray(population, dtype=np.float64)
@@ -207,10 +212,7 @@ class FitnessEvaluator:
                              f"got shape {population.shape}")
         fits = np.empty(len(population))
         starts = range(0, len(population), self._block)
-        if len(starts) < 2:
-            helper = None
-        self._size_buffers(min(self._block, len(population)), 1 if helper is None else 2)
-        if helper is None:
+        if helper is None or len(starts) < 2:
             self._score_blocks(population, fits, starts, 0)
         else:
             future = helper.submit(self._score_blocks, population, fits, starts[1::2], 1)
@@ -233,26 +235,6 @@ class FitnessEvaluator:
             for start in starts:
                 stop = start + self._block
                 fits[start:stop] = self._score_block(population[start:stop], worker)
-
-    def _size_buffers(self, rows: int, workers: int) -> None:
-        """Product buffers for ``workers`` workers and offsets for ``rows`` chromosomes.
-
-        A buffer takes a block's (M*block, N) product, unit first.  The
-        offsets (regression only) are np.arange(rows * N) as (rows, N), so
-        ``offsets[:block]`` is np.arange(block * N): the flat index of unit
-        0's activation per (chromosome, sample) in the (M, block, N)
-        product, the winner's sitting winner * block * N on.  Allocated
-        when a call first needs them and grown only when a later call's
-        block has more rows; the offsets are only read, so both workers
-        share them.
-        """
-        n = self._design_t.shape[1]
-        if self._rows < rows:
-            self._rows, self._products = rows, []
-            if self.shape.mode != CLASSIFICATION:
-                self._offsets = np.arange(rows * n).reshape(rows, n)
-        while len(self._products) < workers:
-            self._products.append(np.empty((self._rows * self.shape.n_units, n)))
 
     def _score_block(self, genes: np.ndarray, worker: int) -> np.ndarray:
         n_units = self.shape.n_units
@@ -414,6 +396,9 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
 
     Returns:
         A :class:`TrainTrace` with the decoded best-ever model.
+
+    Raises:
+        ValueError: when no chromosome had a finite fitness.
     """
     evaluator = FitnessEvaluator(dataset, shape)
     helper = None
@@ -462,6 +447,8 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
                 stopped_early = True
                 break
 
+    if best_value == WORST_FITNESS:
+        raise ValueError("no chromosome has a finite fitness on the training data")
     return TrainTrace(
         best_fitness=best_trace,
         mean_fitness=mean_trace,

@@ -247,6 +247,14 @@ class TestDensityCheck:
             for a, b in zip(report.ga_rmse, report.ga_rmse[1:])
         )
 
+    def test_rejects_classification(self):
+        ds = linear_dataset()
+        clf = Dataset(inputs=ds.inputs, targets=np.zeros(ds.n_samples, dtype=int),
+                      normalization=ds.normalization, provenance="test", label_names=("a",))
+        with pytest.raises(ValueError, match="^density_check requires a regression dataset$"):
+            density_check(clf, Density(k_values=(0, 1), seeds=(0, 1, 2)),
+                          Model(units=1), Expansion(order=0), GaConfig())
+
     def test_requires_increasing_orders_and_three_seeds(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Density(k_values=(2, 1), seeds=(0, 1, 2))

@@ -16,13 +16,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wtanet import (
     ExpansionSpec,
     ModelShape,
+    SplitSpec,
     WtaModel,
+    load_csv,
     load_model,
     mae,
     model_to_dict,
     predict,
     rmse,
     save_model,
+    split_dataset,
 )
 from wtanet import cli
 from wtanet.cli import main
@@ -180,11 +183,34 @@ class TestTrainCommand:
          "units does not apply to classification models"),
         ("train", {"model": {"units": 2, "units_per_class": 1}}, [],
          "units_per_class does not apply to regression models"),
+        ("train", {"model": {"mode": "classification", "units_per_class": 2,
+                             "activation": "logistic"}}, [],
+         "classification models take no output activation"),
+        ("density", {}, [], "config is missing the 'density' section"),
+        ("train", {"ga": {"generations": -1}}, [], "generations must be >= 0, got -1"),
+        ("train", {"ga": {"tournament_size": 0}}, [], "tournament_size must be >= 1, got 0"),
+        ("train", {"ga": {"mutation_rate": 1.5}}, [], "mutation_rate must be in [0, 1], got 1.5"),
+        ("train", {"ga": {"mutation_rate": -0.1}}, [],
+         "mutation_rate must be in [0, 1], got -0.1"),
+        ("train", {"ga": {"blx_alpha": -0.5}}, [], "blx_alpha must be >= 0, got -0.5"),
+        ("train", {"ga": {"mutation_sigma_initial": -1}}, [],
+         "mutation_sigma_initial must be >= 0"),
+        ("train", {"ga": {"init_weight_range": [1, 1]}}, [],
+         "init_weight_range must be (lo, hi) with lo < hi and a finite hi - lo, got (1.0, 1.0)"),
+        # rng.uniform would raise OverflowError on this width
+        ("train", {"ga": {"init_weight_range": [-1e308, 1e308]}}, [],
+         "init_weight_range must be (lo, hi) with lo < hi and a finite hi - lo, "
+         "got (-1e+308, 1e+308)"),
+        ("train", {"ga": {"fitness_stagnation_patience": 0}}, [],
+         "fitness_stagnation_patience must be >= 1"),
     ], ids=["seed-negative", "seed-flag-negative", "density-two-seeds",
             "density-orders-repeat", "density-seed-negative", "density-seeds-repeat",
             "density-order-negative", "density-slack-negative",
             "classification-generator", "classification-units",
-            "regression-units-per-class"])
+            "regression-units-per-class", "classification-activation", "density-no-section",
+            "generations-negative", "tournament-empty", "mutation-rate-above-one",
+            "mutation-rate-negative", "blx-alpha-negative", "mutation-sigma-negative",
+            "weight-range-empty", "weight-range-overflows", "patience-zero"])
     def test_invalid_value_rejected(self, tmp_path, capsys, command, change,
                                     flags, message):
         path = write_config(tmp_path, **change)
@@ -796,6 +822,75 @@ class TestNonFiniteOutputs:
         assert code == 1
         assert err == "error:data: non-finite output at row 0\n"
         assert not output.exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("noise-overflows", "error:data: regression targets must be finite, got -?inf"),
+        ("series-overflows",
+         "error:train: no chromosome has a finite fitness on the training data"),
+        ("training-errors-overflow",
+         "error:train: no chromosome has a finite fitness on the training data"),
+        ("test-errors-overflow",
+         "error:evaluate: non-finite rmse: the targets or outputs are too large"),
+        ("eval-errors-overflow",
+         "error:data: non-finite rmse: the targets or outputs are too large"),
+    ], ids=["noise-overflows", "series-overflows", "training-errors-overflow",
+            "test-errors-overflow", "eval-errors-overflow"])
+    def test_overflow_fails_with_one_error_line(self, tmp_path, capsys, f1_model, case,
+                                                message):
+        # finite inputs whose targets or errors overflow: no Infinity or NaN
+        # is reported and no RuntimeWarning escapes (the filter raises them)
+        data, out_dir = tmp_path / "data.csv", tmp_path / "out"
+        x = np.linspace(0.0, 1.0, 40)
+        y = np.tile([1e308, -1e308], 20) if case == "training-errors-overflow" \
+            else np.sin(2 * np.pi * x)
+
+        def write_data():
+            data.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+
+        write_data()
+        if case == "test-errors-overflow":
+            # one test row's error squares past inf; the split seed is the config's 3 plus 2
+            _, test = split_dataset(load_csv(data, mode="regression"), SplitSpec(), 5)
+            y[y.tolist().index(test.targets[0])] = 1e200
+            write_data()
+        dataset = {
+            "noise-overflows": {"generator": "f1", "n_samples": 50, "noise": {"sigma": 1e308}},
+            # x ** 10 overflows at every step of the series
+            "series-overflows": {"generator": "mackey_glass", "length": 100, "window": 4,
+                                 "initial": 1e300},
+        }.get(case, {"path": str(data)})
+        argv = ["--out-dir", str(out_dir), "train", str(write_config(tmp_path, dataset=dataset))]
+        if case == "eval-errors-overflow":
+            data.write_text("0.2,1e200\n0.6,0.5\n")
+            argv = ["eval", str(f1_model), str(data)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(message + "\n", err)
+        assert not out_dir.exists()
+
+
+class TestSeriesCsv:
+    @pytest.mark.parametrize("header", [False, True])
+    def test_series_csv_trains_as_the_generator(self, tmp_path, capsys, header):
+        # a recorded series enters through the series source, and gives the
+        # model and trace of the generator config with the same series
+        series = tmp_path / "mg.csv"
+        flags = ["--csv-header"] if header else []
+        assert run_cli(capsys, "synth", "mackey-glass", str(series), "--length", "600",
+                       *flags)[0] == 0
+        sources = {
+            "file": {"path": str(series), "series": True, "window": 6, "header": header},
+            "generator": {"generator": "mackey_glass", "length": 600, "window": 6},
+        }
+        files = {}
+        for name, dataset in sources.items():
+            work = tmp_path / name
+            work.mkdir()
+            config = write_config(work, dataset=dataset, model={"units": 3},
+                                  ga={"population_size": 8, "generations": 20})
+            assert run_cli(capsys, "--out-dir", str(work), "train", str(config))[0] == 0
+            files[name] = [(work / f).read_bytes() for f in ("model.json", "trace.csv")]
+        assert files["file"] == files["generator"]
 
 
 class TestNonFiniteCells:

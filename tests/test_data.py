@@ -324,6 +324,23 @@ class TestCsvRoundTrip:
         )
         np.testing.assert_array_equal(back.targets, ds.targets)
 
+    def test_classification_dataset_round_trip(self, tmp_path):
+        # the class column holds the label names, and loads back to the same ids
+        rng = np.random.default_rng(15)
+        raw = rng.uniform(-2.0, 3.0, size=(12, 2))
+        ds = Dataset(inputs=normalize(raw, [[-2.0, 3.0]] * 2), targets=[0, 1, 2, 1] * 3,
+                     normalization=[[-2.0, 3.0]] * 2, provenance="test",
+                     label_names=("setosa", "versicolor", "virginica"))
+        path = tmp_path / "out.csv"
+        dataset_to_csv(ds, path, header=True)
+        lines = path.read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[:5]] == [
+            "target", "setosa", "versicolor", "virginica", "versicolor"]
+        back = load_csv(path, mode="classification", header=True)
+        assert back.label_names == ds.label_names
+        np.testing.assert_array_equal(back.targets, ds.targets)
+        np.testing.assert_allclose(back.denormalized_inputs(), raw, rtol=1e-12)
+
     def test_series_round_trip(self, tmp_path):
         series = gen_mackey_glass(120)
         path = tmp_path / "series.csv"
@@ -376,6 +393,44 @@ class TestWriteCsv:
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equally long"):
             write_csv(tmp_path / "out.csv", [["1", "2"], ["3"]])
+
+
+def regression_set(n_samples=2, **kwargs):
+    """A one-feature regression Dataset of ``n_samples`` rows; ``kwargs`` replace fields."""
+    fields = dict(inputs=np.linspace(0.0, 1.0, n_samples)[:, None],
+                  targets=np.arange(n_samples, dtype=float), normalization=[[0.0, 1.0]],
+                  provenance="test")
+    return Dataset(**{**fields, **kwargs})
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: split_dataset(gen_function("f1", 10, 0), SplitSpec(stratified=True), 0),
+         "stratified split requires a classification dataset"),
+        (lambda: split_dataset(regression_set(1), SplitSpec(), 0),
+         "need at least 2 samples to split"),
+        (lambda: window_series(np.arange(10.0), 0), "window and horizon must be >= 1, got 0, 1"),
+        (lambda: window_series(np.arange(10.0), 2, 0),
+         "window and horizon must be >= 1, got 2, 0"),
+        (lambda: window_series(np.zeros((5, 2)), 2), "series must be 1-D, got shape (5, 2)"),
+        (lambda: gen_function("f1", 1, 0), "n_samples must be >= 2, got 1"),
+        (lambda: gen_function("f3", 10, 0), "unknown generator 'f3'; expected 'f1' or 'f2'"),
+        # the noise overflows to inf, with no RuntimeWarning
+        (lambda: gen_function("f1", 10, 0, sigma=1e308), "regression targets must be finite"),
+        (lambda: regression_set(inputs=[0.1, 0.2]), "inputs must be 2-D, got shape (2,)"),
+        (lambda: regression_set(normalization=[[0.0, 1.0]] * 2),
+         "normalization must have shape (1, 2), got (2, 2)"),
+        (lambda: regression_set(targets=[0.5, -np.inf]),
+         "regression targets must be finite, got -inf"),
+        (lambda: load_csv("unread.csv", mode="ranking"),
+         "mode must be one of ('regression', 'classification'), got 'ranking'"),
+    ], ids=["split-stratified-regression", "split-one-sample", "window-zero", "horizon-zero",
+            "window-2d-series", "generator-one-sample", "generator-unknown",
+            "generator-noise-overflows", "dataset-1d-inputs", "dataset-normalization-shape",
+            "dataset-infinite-target", "load-csv-unknown-mode"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestDatasetInvariants:
@@ -623,9 +678,15 @@ class TestBulkParse:
         ("1,2\r3,4\r\n\r\n5,\x0b6\n", "regression", 0),
         # from 9 rows on, min and max over columns break 0.0/-0.0 ties by the layout
         ("-0.0,1,a\n" + "1,1,b\n" * 7 + "0.0,1,a\n", "classification", -1),
+        # numpy strips \x1c-\x1f around a number, float() refuses them
+        ("0.5,\x1c1\n0.2,2\n", "regression", -1),
+        ("1\x1f,2\n", "features", None),
+        # csv.reader refuses any NUL before Python 3.11
+        ("1,a\x00\n2,b\n", "classification", -1),
     ], ids=["series-wider", "series-narrower", "labels-wider", "features-wider",
             "features-narrower", "quoted-number", "quoted-label", "line-ends",
-            "signed-zero-ranges"])
+            "signed-zero-ranges", "separator-in-target", "separator-in-feature",
+            "nul-in-label"])
     def test_edge_files(self, tmp_path, text, kind, column):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -98,10 +99,22 @@ def blocks_of(count, ds, shape, monkeypatch):
     monkeypatch.setattr(ga, "_BLOCK_MULTIPLY_ADDS", count * work)
 
 
+class Counted(ThreadPoolExecutor):
+    """An executor that counts its submits."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
 @pytest.fixture
 def helper():
     """An executor with one worker, for a test to hand to evaluator calls."""
-    with ThreadPoolExecutor(1) as pool:
+    with Counted(1) as pool:
         yield pool
 
 
@@ -115,17 +128,12 @@ def counted_executors(monkeypatch):
     """The executors trainings make from here on, each counting its submits."""
     made = []
 
-    class Counted(ThreadPoolExecutor):
+    class Made(Counted):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.submitted = 0
             made.append(self)
 
-        def submit(self, *args, **kwargs):
-            self.submitted += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Made)
     return made
 
 
@@ -435,7 +443,7 @@ class TestFitness:
         blocks_of(3, ds, shape, monkeypatch)
         evaluator = FitnessEvaluator(ds, shape)
         got = evaluator(population, helper=helper)
-        assert len(evaluator._products) == 2  # the call handed blocks off
+        assert helper.submitted == 1  # the call handed blocks off
         want = FitnessEvaluator(ds, shape)(population)
         assert got.tobytes() == want.tobytes()
         assert got[-1] == -np.inf
@@ -451,7 +459,7 @@ class TestFitness:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evaluator(population, helper=helper)
-        assert len(evaluator._products) == 2
+        assert helper.submitted == 1
         assert (got == -np.inf).all()
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -604,25 +612,26 @@ class TestFitness:
                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
 
-    def test_buffers_are_sized_by_the_rows_a_worker_scores(self, helper):
-        # no buffer at construction, though a block holds 16,666 here; the
-        # first call sizes the caller's, a larger one grows it, and a call
-        # of one block makes no buffer for a helper it is handed
+    def test_buffers_are_made_with_the_evaluator(self, helper):
+        # each worker's buffer holds a whole block from construction on, and
+        # calls of one row, one block and several blocks reuse the same arrays
         ds = tiny_dataset(n=30)
         shape = tiny_shape(order=0, n_units=1)
         evaluator = FitnessEvaluator(ds, shape)
-        assert evaluator._block == 16_666
-        assert (evaluator._rows, evaluator._products) == (0, [])
-        genes = np.random.default_rng(46).uniform(-1, 1, size=(9, shape.n_genes))
-        evaluator(genes[:5])
-        [product], offsets = evaluator._products, evaluator._offsets
-        assert (evaluator._rows, product.shape, offsets.shape) == (5, (5, 30), (5, 30))
+        block = evaluator._block
+        assert block == 16_666
+        products, offsets = list(evaluator._products), evaluator._offsets
+        assert [product.shape for product in products] == [(block, 30)] * 2
         # unit 0's activations of the (M, block, N) product, flat
-        assert (offsets.ravel() == np.arange(150)).all()
-        evaluator(genes[:3])
-        assert evaluator._products[0] is product
-        evaluator(genes, helper=helper)
-        assert evaluator._rows == 9 and len(evaluator._products) == 1
+        assert offsets.shape == (block, 30)
+        assert (offsets.ravel() == np.arange(block * 30)).all()
+        genes = np.random.default_rng(46).uniform(-1, 1, size=(3 * block + 1, shape.n_genes))
+        first = evaluator(genes[:block])
+        assert evaluator(genes[:1]).tobytes() == first[:1].tobytes()
+        assert evaluator(genes, helper=helper)[:block].tobytes() == first.tobytes()
+        assert helper.submitted == 1
+        assert all(a is b for a, b in zip(evaluator._products, products, strict=True))
+        assert evaluator._offsets is offsets
 
     def test_only_populations_are_scored(self):
         ds = tiny_dataset()
@@ -812,6 +821,27 @@ class TestTrain:
         clf_shape = ModelShape.for_classification(spec, n_classes=2)
         with pytest.raises(ValueError, match="mode"):
             train(clf_shape, ds, GaConfig(population_size=4, generations=1), 0)
+
+    def test_no_finite_fitness_is_refused(self):
+        # every squared error past 1e308 overflows, so every fitness is the sentinel
+        x = np.linspace(0.0, 1.0, 10)[:, None]
+        ds = Dataset(inputs=x, targets=np.tile([1e308, -1e308], 5),
+                     normalization=[[0.0, 1.0]], provenance="test")
+        with pytest.raises(ValueError, match="no chromosome has a finite fitness"):
+            train(tiny_shape(), ds, GaConfig(population_size=4, generations=3), 0)
+
+    @pytest.mark.parametrize("dataset, shape, message", [
+        (tiny_dataset(), ModelShape(ExpansionSpec(input_dim=2, order=1), 2),
+         "dataset has 1 features, expansion expects 2"),
+        (Dataset(inputs=[[0.0], [0.5], [1.0]], targets=[0, 1, 2],
+                 normalization=[[0.0, 1.0]], provenance="test", label_names=("a", "b", "c")),
+         ModelShape.for_classification(ExpansionSpec(input_dim=1, order=1), 2),
+         "classes [2] in the data are carried by no unit"),
+    ], ids=["feature-count", "class-without-unit"])
+    def test_evaluator_refuses_a_dataset_the_shape_cannot_score(self, dataset, shape,
+                                                                 message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FitnessEvaluator(dataset, shape)
 
 
 class TestGaConfigValidation:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ class TestModelValidation:
         del doc["class_names"]
         with pytest.raises(ValueError, match="class_of_unit is for classification models only"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda spec: ModelShape(spec, 2, output_activation="tanh"), "unknown activation 'tanh'"),
+        (lambda spec: ModelShape(spec, 2, class_of_unit=(0,)),
+         "class_of_unit length 1 does not match n_units 2"),
+        (lambda spec: ModelShape.for_classification(spec, 0),
+         "n_classes and units_per_class must be >= 1"),
+    ], ids=["unknown-activation", "class-of-unit-length", "no-classes"])
+    def test_shape_refused(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(raw_passthrough_spec(2))
 
     def test_non_finite_weights_rejected(self):
         spec = raw_passthrough_spec(1)

@@ -158,6 +158,14 @@ class TestBoxLp:
             assert sol.objective == float(np.dot(c, best_x))
             assert np.all(sol.x >= lower) and np.all(sol.x <= upper)
 
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([0.0, np.nan], [1.0, 1.0], "non-finite lower bound at index 1"),
+        ([0.0, 0.0], [np.inf, 1.0], "non-finite upper bound at index 0"),
+    ], ids=["lower-nan", "upper-inf"])
+    def test_rejects_non_finite_bounds_naming_index(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            solve_box_lp([1.0, 1.0], lower, upper)
+
     def test_rejects_crossed_bounds_naming_index(self):
         with pytest.raises(ValueError, match="index 1"):
             solve_box_lp([1.0, 1.0], [0.0, 3.0], [1.0, 2.0])
