@@ -17,6 +17,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from .schema import write_text
+
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
 _MODES = (REGRESSION, CLASSIFICATION)
@@ -546,8 +548,7 @@ def write_csv(path, columns, header=None) -> None:
     if header is not None:
         lines.insert(0, ",".join(_quote(cell, len(header) == 1) for cell in header))
     lines.append("")  # the last line's end
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines))
+    write_text(path, "\r\n".join(lines))
 
 
 def repr_cells(values: np.ndarray) -> list[str]:

@@ -61,6 +61,7 @@ import numpy as np
 from .data import CLASSIFICATION, Dataset
 from .expansion import expand_batch
 from .model import ModelShape, WtaModel, apply_activation
+from .schema import write_text
 
 WORST_FITNESS = float("-inf")  # sentinel for non-finite predictions
 
@@ -461,9 +462,6 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
 
 def trace_to_csv(trace: TrainTrace, path) -> None:
     """Write the per-generation trace as ``generation,best,mean`` CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("generation,best,mean\n")
-        for gen, (best, mean) in enumerate(
-            zip(trace.best_fitness, trace.mean_fitness)
-        ):
-            fh.write(f"{gen},{best!r},{mean!r}\n")
+    rows = (f"{gen},{best!r},{mean!r}\n"
+            for gen, (best, mean) in enumerate(zip(trace.best_fitness, trace.mean_fitness)))
+    write_text(path, "generation,best,mean\n" + "".join(rows))

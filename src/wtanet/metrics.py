@@ -15,24 +15,31 @@ def _paired(predictions, targets, dtype=np.float64) -> tuple[np.ndarray, np.ndar
     return p, t
 
 
+def _finite(name: str, value) -> float:
+    if not np.isfinite(value):  # finite inputs whose errors or spread overflow
+        raise ValueError(f"non-finite {name}: the targets or outputs are too large")
+    return float(value)
+
+
 def rmse(predictions, targets) -> float:
     p, t = _paired(predictions, targets)
-    err = p - t
-    return float(np.sqrt(np.mean(err * err)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("rmse", np.sqrt(np.mean(np.square(p - t))))
 
 
 def mae(predictions, targets) -> float:
     p, t = _paired(predictions, targets)
-    return float(np.mean(np.abs(p - t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("mae", np.mean(np.abs(p - t)))
 
 
 def nrmse(predictions, targets) -> float:
     """RMSE divided by the standard deviation of the targets."""
-    _, t = _paired(predictions, targets)
-    std = float(np.std(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = _finite("target std", np.std(_paired(predictions, targets)[1]))
     if std == 0.0:
         raise ValueError("nrmse undefined for constant targets (zero variance)")
-    return rmse(predictions, targets) / std
+    return _finite("nrmse", rmse(predictions, targets) / std)
 
 
 def accuracy(predictions, targets) -> float:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 import types
 import typing
@@ -73,11 +75,26 @@ def read_json(path, what: str):
             raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path`` and cut it to length."""
+    data = text.encode("utf-8")
+    rest = memoryview(data)
+    # no O_TRUNC: writing over the old bytes and cutting after costs less
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # the umask applies
+    try:
+        while rest:
+            rest = rest[os.write(fd, rest):]
+    finally:
+        try:  # a failed write leaves an empty file; a pipe or /dev/null is not cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, 0 if rest else len(data))
+        finally:
+            os.close(fd)
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` to ``path`` as indented JSON with sorted keys."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def parse(cls, doc, where: str = ""):

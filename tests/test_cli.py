@@ -1,10 +1,12 @@
 import copy
 import csv
+import errno
 import io
 import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 import warnings
@@ -867,6 +869,101 @@ class TestNonFiniteOutputs:
         assert (code, out) == (1, "")
         assert re.fullmatch(message + "\n", err)
         assert not out_dir.exists()
+
+
+def without_wall_time(path) -> list[str]:
+    """The lines of a report JSON other than its one ``wall_time_s`` line."""
+    return [line for line in path.read_text().splitlines() if '"wall_time_s":' not in line]
+
+
+class TestOutputsOverwritten:
+    """Each output file is written over the one already at its path."""
+
+    def test_one_row_predict_over_a_20k_row_one(self, tmp_path, capsys, f1_model):
+        many, one = tmp_path / "many.csv", tmp_path / "one.csv"
+        many.write_text("".join(f"{x!r}\n" for x in np.linspace(0.0, 1.0, 20_000).tolist()))
+        one.write_text("0.5\n")
+        out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        for data, path in ((many, out), (one, out), (one, fresh)):
+            assert main(["--quiet", "predict", str(f1_model), str(data), "-o", str(path)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_synth_without_header_over_one_with_it(self, tmp_path, capsys):
+        out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        for path, flags in ((out, ["--csv-header"]), (out, []), (fresh, [])):
+            assert main(["--quiet", "synth", "f1", str(path), "--n", "5", *flags]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_train_into_the_out_dir_of_a_longer_run(self, tmp_path, capsys):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        longer = write_config(tmp_path, model={"units": 3, "mode": "regression"},
+                              ga={"population_size": 8, "generations": 12})
+        assert main(["--quiet", "--out-dir", str(out), "train", str(longer)]) == 0
+        sizes = {name: (out / name).stat().st_size for name in ("model.json", "trace.csv")}
+        config = write_config(tmp_path)
+        for path in (out, fresh):
+            assert main(["--quiet", "--out-dir", str(path), "train", str(config)]) == 0
+        for name, size in sizes.items():
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert size > (fresh / name).stat().st_size, name
+        assert without_wall_time(out / "report.json") == \
+            without_wall_time(fresh / "report.json")
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        """``os.write`` lands the first 10 bytes, then the disk is full."""
+        real_write = os.write
+        calls = []
+
+        def write(fd, data):
+            calls.append(fd)
+            if len(calls) == 1:
+                return real_write(fd, data[:10])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, "write", write)
+        return calls
+
+    def test_predict_onto_a_full_disk_leaves_an_empty_file(self, tmp_path, capsys, f1_model,
+                                                           full_disk):
+        data, out = tmp_path / "one.csv", tmp_path / "out.csv"
+        data.write_text("0.25\n0.5\n0.75\n")
+        out.write_text("an older and longer output\n" * 10)
+        code, stdout, err = run_cli(capsys, "predict", str(f1_model), str(data), "-o", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error:io: [Errno 28] No space left on device\n"
+        assert len(full_disk) == 2 and out.read_bytes() == b""
+
+    def test_train_onto_a_full_disk_leaves_an_empty_file(self, tmp_path, capsys, full_disk):
+        config, out = write_config(tmp_path), tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "--out-dir", str(out), "train", str(config))
+        assert (code, stdout) == (1, "")
+        assert err == "error:write: [Errno 28] No space left on device\n"
+        assert [path.name for path in out.iterdir()] == ["report.json"]
+        assert (out / "report.json").read_bytes() == b""
+
+    def test_read_only_output_fails_with_io_category(self, tmp_path, capsys, f1_model,
+                                                     monkeypatch):
+        shutil.copy(f1_model, tmp_path / "model.json")
+        (tmp_path / "one.csv").write_text("0.5\n")
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        monkeypatch.chdir(tmp_path)
+        argv = ["predict", "model.json", "one.csv", "-o", "out.csv"]
+        # a first run as this user loads every module predict needs
+        assert main(["--quiet", *argv[:-1], "warm.csv"]) == 0
+        euid = os.geteuid()
+        if euid == 0:
+            # root writes through any mode bits, so the check runs as nobody
+            tmp_path.chmod(0o755)
+            os.seteuid(65534)
+        try:
+            code, stdout, err = run_cli(capsys, *argv)
+        finally:
+            os.seteuid(euid)
+        assert (code, stdout) == (1, "")
+        assert err == "error:io: [Errno 13] Permission denied: 'out.csv'\n"
+        assert out.read_text() == "old\n"
 
 
 class TestSeriesCsv:

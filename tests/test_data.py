@@ -1,9 +1,12 @@
+import ast
 import csv
 import io
 import math
 import os
 import re
+import stat
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from wtanet import (
     window_series,
 )
 from wtanet.data import write_csv
+from wtanet.schema import write_text
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wtanet"
 
 
 class TestLoadCsv:
@@ -393,6 +399,63 @@ class TestWriteCsv:
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equally long"):
             write_csv(tmp_path / "out.csv", [["1", "2"], ["3"]])
+
+
+def file_writes(source: str, name: str) -> list[str]:
+    """The calls in ``source`` (the module file ``name``) that open a file to write.
+
+    Those are ``os.open`` outside ``schema.write_text``, and ``open`` with
+    a mode that writes (or one that is not a literal), except the
+    ``open(os.devnull, "w")`` that stands in for a closed stdout.
+    """
+    found = []
+    for top in ast.parse(source, name).body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func == "os.open" and (name, where) != ("schema.py", "write_text"):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+            elif func == "open" and node.args and ast.unparse(node.args[0]) != "os.devnull":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+class TestWriteText:
+    def test_package_writes_files_only_through_write_text(self):
+        found = [hit for path in sorted(SRC.glob("*.py"))
+                 for hit in file_writes(path.read_text(encoding="utf-8"), path.name)]
+        assert found == []
+
+    def test_guard_finds_other_writers(self):
+        source = ('def save(p, m):\n    open(p, "w")\n    open(p, mode="ab")\n'
+                  '    open(p, m)\n    open(p, "r+")\n    os.open(p, 1)\n    open(p)\n'
+                  '    open(os.devnull, "w")\n')
+        assert [hit.split(":")[1] for hit in file_writes(source, "schema.py")] == \
+            ["2", "3", "4", "5", "6"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_has_the_mode_of_open_for_writing(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "by-open", "w"):
+                pass
+            write_text(tmp_path / "by-write-text", "x\n")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("by-open", "by-write-text")]
+        assert modes == [0o666 & ~umask] * 2
+
+    def test_shorter_text_over_longer_is_cut_to_length(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, "a longer first text\n")
+        write_text(path, "é\n")
+        assert path.read_bytes() == "é\n".encode("utf-8")
 
 
 def regression_set(n_samples=2, **kwargs):

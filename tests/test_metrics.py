@@ -41,6 +41,18 @@ class TestRegressionMetrics:
         with pytest.raises(ValueError):
             rmse([], [])
 
+    @pytest.mark.parametrize("metric, predictions, targets, name", [
+        (rmse, [1e200, 0.0], [0.0, 0.0], "rmse"),        # the square overflows
+        (mae, [1e308, 0.0], [-1e308, 0.0], "mae"),       # the difference overflows
+        (nrmse, [0.0, 0.0], [1e200, -1e200], "target std"),
+        (nrmse, [1e150, 1e150], [0.0, 2e-160], "nrmse"),  # the quotient overflows
+    ], ids=["rmse", "mae", "nrmse-target-std", "nrmse-quotient"])
+    def test_overflow_of_finite_inputs_raises(self, metric, predictions, targets, name):
+        # no RuntimeWarning escapes either: the test filter raises them
+        with pytest.raises(ValueError, match=f"^non-finite {name}: "
+                                             "the targets or outputs are too large$"):
+            metric(predictions, targets)
+
 
 class TestClassificationMetrics:
     def test_perfect_accuracy(self):

@@ -161,6 +161,17 @@ def test_predict_reads_a_csv_with_a_byte_order_mark(f1, tmp_path):
     assert (tmp_path / "bom-pred.csv").read_text().count("\n") == 50
 
 
+@pytest.mark.parametrize("output", ["/dev/stdout", "/dev/null"])
+def test_predict_into_a_file_that_is_not_regular(f1, tmp_path, output):
+    # the output is written but not cut to length: a pipe or /dev/null has none
+    csv, model = f1
+    ok(wtanet("predict", model, csv, "--target-column", "-1", "-o", "pred.csv", cwd=tmp_path))
+    run = ok(wtanet("--quiet", "predict", model, csv, "--target-column", "-1", "-o", output,
+                    cwd=tmp_path))
+    assert run.stdout == ((tmp_path / "pred.csv").read_text()
+                          if output == "/dev/stdout" else "")
+
+
 def test_eval_into_a_pipe_with_no_reader_exits_1_without_an_error_line(f1, tmp_path):
     csv, model = f1
     read, write = os.pipe()
