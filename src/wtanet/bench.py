@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from typing import Literal
 
@@ -413,9 +413,19 @@ def run_experiment(config: RunConfig, *, out_dir: str | None = None) -> Experime
     if out_dir is not None:
         with _phase("write", (OSError,)):
             os.makedirs(out_dir, exist_ok=True)
-            write_json(os.path.join(out_dir, REPORT_FILE), asdict(report))
-            save_model(model, os.path.join(out_dir, MODEL_FILE))
-            trace_to_csv(trace, os.path.join(out_dir, TRACE_FILE))
+            # each write pops its own path, so after a failed one this lists
+            # the files not reached, which may hold an earlier run's bytes
+            unreached = [os.path.join(out_dir, name)
+                         for name in (TRACE_FILE, MODEL_FILE, REPORT_FILE)]
+            try:
+                write_json(unreached.pop(), asdict(report))
+                save_model(model, unreached.pop())
+                trace_to_csv(trace, unreached.pop())
+            except OSError:
+                for path in unreached:
+                    with suppress(OSError):  # the write's own error is the one reported
+                        os.remove(path)
+                raise
 
     return ExperimentResult(
         report=report,

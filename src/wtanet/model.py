@@ -129,6 +129,8 @@ class WtaModel:
             raise ValueError("model weights must be finite")
         if class_names is not None and shape.mode != CLASSIFICATION:
             raise ValueError("class_names are meaningful in classification mode only")
+        if class_names is not None and len(set(class_names)) < len(class_names):
+            raise ValueError(f"class_names must not repeat, got {list(class_names)}")
         labels = shape.class_of_unit
         if labels is not None and (min(labels) < 0 or (
                 class_names is not None and max(labels) >= len(class_names))):

@@ -11,7 +11,9 @@ Supported annotations: ``int``, ``float``, ``bool``, ``str``, ``list``
 (any JSON list, passed on unchecked), ``Literal[...]``, ``X | None``,
 ``tuple[X, ...]``, ``tuple[X, Y]`` and nested dataclasses.  A class
 that is not a dataclass but has a ``section_class(doc, where)`` static
-method picks the dataclass that parses ``doc``.
+method picks the dataclass that parses ``doc``.  Each dataclass is
+compiled once into a plan of its fields' converters, so a document costs
+no annotation lookups.
 """
 
 from __future__ import annotations
@@ -24,24 +26,6 @@ import stat
 import sys
 import types
 import typing
-
-_TYPE_NAMES = {int: "an int", float: "a finite number", bool: "a bool", str: "a string",
-               list: "a list"}
-
-# get_type_hints compiles every string annotation again on each call.
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-@functools.cache
-def _origin_args(tp) -> tuple:
-    """``typing.get_origin`` and ``typing.get_args`` of the annotation ``tp``."""
-    return typing.get_origin(tp), typing.get_args(tp)
-
-
-@functools.cache
-def _init_fields(cls) -> dict:
-    """The fields of the dataclass ``cls`` that its constructor takes, by name."""
-    return {f.name: f for f in dataclasses.fields(cls) if f.init}
 
 
 def _describe(value) -> str:
@@ -69,7 +53,7 @@ def read_json(path, what: str):
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh, object_pairs_hook=unique)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{what} {path} is not UTF-8: {exc}") from None
@@ -104,53 +88,112 @@ def parse(cls, doc, where: str = ""):
     ("" for a whole document).  Raises ``ValueError`` naming the first
     offending key.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where or 'the top level'} must be an object, got {_describe(doc)}")
+    return _plan(cls)(doc, where)
+
+
+def _refused(where: str, name, expected: str, value) -> ValueError:
+    return ValueError(f"{_key(where, name)} must be {expected}, got {_describe(value)}")
+
+
+def _not_an_object(doc, where: str) -> ValueError:
+    return ValueError(f"{where or 'the top level'} must be an object, got {_describe(doc)}")
+
+
+@functools.cache
+def _plan(cls):
+    """``plan(doc, where)``, which parses a ``cls`` object: a dataclass's init
+    fields' converters and required keys, or a ``section_class`` pick."""
     if not dataclasses.is_dataclass(cls):
-        cls = cls.section_class(doc, where)
-    hints = _type_hints(cls)
-    fields = _init_fields(cls)
-    kwargs = {name: _value(hints[name], doc[name], where, name)
-              for name in fields if name in doc}
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ValueError(f"unknown key {_key(where, unknown[0])}")
-    for name, f in fields.items():
-        if name not in doc and f.default is dataclasses.MISSING:
-            raise ValueError(f"missing key {_key(where, name)}")
-    return cls(**kwargs)
+        def pick(doc, where):
+            if not isinstance(doc, dict):
+                raise _not_an_object(doc, where)
+            return _plan(cls.section_class(doc, where))(doc, where)
+        return pick
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    converters = {f.name: _converter(hints[f.name]) for f in fields}
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+
+    def plan(doc, where):
+        if not isinstance(doc, dict):
+            raise _not_an_object(doc, where)
+        kwargs = {name: convert(doc[name], where, name)
+                  for name, convert in converters.items() if name in doc}
+        if len(kwargs) < len(doc):
+            raise ValueError(f"unknown key {_key(where, min(doc.keys() - converters.keys()))}")
+        for name in required:
+            if name not in kwargs:
+                raise ValueError(f"missing key {_key(where, name)}")
+        return cls(**kwargs)
+    return plan
 
 
-def _value(tp, value, where: str, name):
-    # the key path of ``value`` is _key(where, name), formatted only for an error
-    if tp in _TYPE_NAMES:
-        if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and abs(value) <= sys.float_info.max:
-            return float(value)
-        if tp is int and isinstance(value, int) and not isinstance(value, bool):
+# A converter checks and converts one value: convert(value, where, name).
+# The value's key path, _key(where, name), is formatted only for an error
+# or a nested section.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _int(value, where, name):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _refused(where, name, "an int", value)
+
+
+def _float(value, where, name):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= _FLOAT_MAX:
+        return float(value)
+    raise _refused(where, name, "a finite number", value)
+
+
+def _instance_of(tp, expected: str):
+    def convert(value, where, name):
+        if isinstance(value, tp):
             return value
-        if tp in (bool, str, list) and isinstance(value, tp):
-            return value
-        raise ValueError(f"{_key(where, name)} must be {_TYPE_NAMES[tp]}, got {_describe(value)}")
-    origin, args = _origin_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
+        raise _refused(where, name, expected, value)
+    return convert
+
+
+_SCALARS = {int: _int, float: _float, bool: _instance_of(bool, "a bool"),
+            str: _instance_of(str, "a string"), list: _instance_of(list, "a list")}
+
+
+@functools.cache
+def _converter(tp):
+    """The converter of a value annotated ``tp``, compiled once."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         (tp,) = [a for a in args if a is not type(None)]
-        return _value(tp, value, where, name)
+        convert = _converter(tp)
+        return lambda value, where, name: None if value is None else convert(value, where, name)
     if origin is typing.Literal:
-        if any(value == a and type(value) is type(a) for a in args):
-            return value
-        choices = ", ".join(json.dumps(a) for a in args)
-        raise ValueError(f"{_key(where, name)} must be one of {choices}, got {_describe(value)}")
-    where = _key(where, name)
+        choices = "one of " + ", ".join(json.dumps(a) for a in args)
+
+        def literal(value, where, name):
+            for a in args:
+                if value == a and type(value) is type(a):
+                    return value
+            raise _refused(where, name, choices, value)
+        return literal
     if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where} must be a list, got {_describe(value)}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ValueError(f"{where} must be a list of {len(args)} values, "
-                             f"got {len(value)}")
-        return tuple(_value(t, v, where, i) for i, (t, v) in enumerate(zip(args, value)))
-    return parse(tp, value, where)
+        items = [_converter(a) for a in args if a is not Ellipsis]
+        item = items[0]
+
+        def sequence(value, where, name):  # a list or a tuple converts
+            if not isinstance(value, (list, tuple)):
+                raise _refused(where, name, "a list", value)
+            where = _key(where, name)
+            if args[-1] is Ellipsis:
+                return tuple([item(v, where, i) for i, v in enumerate(value)])
+            if len(value) != len(items):
+                raise ValueError(f"{where} must be a list of {len(items)} values, "
+                                 f"got {len(value)}")
+            return tuple([c(v, where, i) for i, (c, v) in enumerate(zip(items, value))])
+        return sequence
+    if dataclasses.is_dataclass(tp) or hasattr(tp, "section_class"):
+        plan = _plan(tp)
+        return lambda value, where, name: plan(value, _key(where, name))
+    raise TypeError(f"unsupported annotation {tp!r}")

@@ -344,6 +344,80 @@ def test_fuzzed_instance_runs_or_fails_with_one_error_line(tmp_path, capsys, dat
         code == 1 and re.fullmatch(r"error:data: [^\n]*\n", err)), err
 
 
+# the byte mutations of a JSON file: each yields the file's new bytes
+NUMBER = re.compile(r"(?<=[\[ ])-?\d[\d.eE+-]*")  # a number token of json.dumps' output
+JSON_MUTATIONS = {
+    "bom": lambda data, text: b"\xef\xbb\xbf" + text.encode(),
+    "not-utf8": lambda data, text: insert(data, text, data.draw(st.sampled_from(
+        [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))),
+    "nul": lambda data, text: insert(data, text, b"\x00"),
+    "truncated": lambda data, text: text.encode()[:data.draw(st.integers(0, len(text) - 1))],
+    "doubled-key": lambda data, text: doubled_key(data, text),
+    "non-finite": lambda data, text: replace_number(data, text, st.sampled_from(
+        ["NaN", "-NaN", "Infinity", "-Infinity"])),
+    "past-float-range": lambda data, text: replace_number(data, text, st.sampled_from(
+        ["1e400", "-1e400", "1" + "0" * 400, "-" + "9" * 400 + ".5"])),
+    "deep": lambda data, text: deep(data, text),
+}
+
+
+def insert(data, text, raw: bytes) -> bytes:
+    at = data.draw(st.integers(0, len(text)))
+    return text[:at].encode() + raw + text[at:].encode()
+
+
+def doubled_key(data, text) -> bytes:
+    key = data.draw(st.sampled_from(sorted(set(re.findall(r'"(\w+)": ', text)))))
+    first = data.draw(st.sampled_from(["0", "null", '"a"', "[]", "{}"]))
+    return text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1).encode()
+
+
+def replace_number(data, text, tokens) -> bytes:
+    match = data.draw(st.sampled_from(list(NUMBER.finditer(text))))
+    return (text[:match.start()] + data.draw(tokens) + text[match.end():]).encode()
+
+
+def deep(data, text) -> bytes:
+    """A number or the whole file nested in lists, closed or not."""
+    depth = data.draw(st.sampled_from([50, 900, 1100, 100_000]))
+    nested = "[" * depth + "0" + "]" * depth * data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        return nested.encode()
+    return replace_number(data, text, st.just(nested))
+
+
+JSON_FUZZ_FILES = {
+    "model": (json.dumps(FUZZ_MODEL), "data"),
+    "config": (json.dumps(FUZZ_BASE), "[a-z]+"),
+    "instance": (json.dumps(FUZZ_INSTANCES[("kselect",)]), "data"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(JSON_FUZZ_FILES))
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_byte_mutated_json_runs_or_fails_with_one_error_line(tmp_path, capsys, what, data):
+    text, category = JSON_FUZZ_FILES[what]
+    raw = JSON_MUTATIONS[data.draw(st.sampled_from(sorted(JSON_MUTATIONS)))](data, text)
+    work = tempfile.mkdtemp(dir=tmp_path)
+    path = f"{work}/{what}.json"
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    with open(f"{work}/data.csv", "w", encoding="utf-8") as fh:
+        fh.write("0.2,a\n0.7,b\n")
+    argv = {
+        "model": data.draw(st.sampled_from([
+            ["eval", path, f"{work}/data.csv"],
+            ["predict", path, f"{work}/data.csv", "--target-column", "-1",
+             "-o", f"{work}/pred.csv"]])),
+        "config": ["--quiet", "--out-dir", f"{work}/out", "train", path],
+        "instance": ["kselect", path],
+    }[what]
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") or (
+        code == 1 and re.fullmatch(f"error:{category}: [^\n]*\n", err)), err
+
+
 # what fuzzing may put into a data or instance CSV cell; the long cell
 # exceeds the csv module's field limit (131,072 characters)
 CSV_FUZZ_CELLS = st.sampled_from(["", "a", "nan", "inf", "1e400", "1,5", "7" * 200_000])
@@ -941,6 +1015,37 @@ class TestOutputsOverwritten:
         assert [path.name for path in out.iterdir()] == ["report.json"]
         assert (out / "report.json").read_bytes() == b""
 
+    def test_failed_train_write_leaves_no_file_of_an_earlier_run(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        out = tmp_path / "out"
+        config = write_config(tmp_path)
+        assert main(["--quiet", "--seed", "1", "--out-dir", str(out), "train", str(config)]) == 0
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(earlier) == ["model.json", "report.json", "trace.csv"]
+        # the disk fills up while model.json is written
+        real_open, real_write, model_fds = os.open, os.write, set()
+
+        def open_(path, *args):
+            fd = real_open(path, *args)
+            if os.path.basename(path) == "model.json":
+                model_fds.add(fd)
+            return fd
+
+        def write(fd, data):
+            if fd in model_fds:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(os, "write", write)
+        code, stdout, err = run_cli(capsys, "--seed", "2", "--out-dir", str(out),
+                                    "train", str(config))
+        assert (code, stdout) == (1, "")
+        assert err == "error:write: [Errno 28] No space left on device\n"
+        assert model_fds
+        assert sorted(path.name for path in out.iterdir()) == ["model.json", "report.json"]
+        assert (out / "model.json").read_bytes() == b""
+        assert json.loads((out / "report.json").read_text())["seed"] == 2
+
     def test_read_only_output_fails_with_io_category(self, tmp_path, capsys, f1_model,
                                                      monkeypatch):
         shutil.copy(f1_model, tmp_path / "model.json")
@@ -1174,6 +1279,26 @@ class TestJsonText:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("what", ["config", "model", "instance"])
+    def test_deeply_nested_json_fails_with_one_error_line(self, tmp_path, capsys, what):
+        # json gives up past the interpreter's recursion limit
+        path = tmp_path / f"{what}.json"
+        path.write_text("[" * 100_000)
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,1.0\n")
+        argv, category = {
+            "config": (["--out-dir", str(tmp_path / "out"), "train", str(path)], "config"),
+            "model": (["eval", str(path), str(data)], "data"),
+            "instance": (["kselect", str(path)], "data"),
+        }[what]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error:{category}: {what} file {path} is not valid JSON: "
+                              "maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 def model_file_text(*drop, **changes):
     """A valid one-unit model file, less the keys ``drop``, with ``changes``."""
     doc = model_to_dict(WtaModel(
@@ -1233,6 +1358,8 @@ CLASSIFIER = {"mode": "classification",
      "model.class_names must be a list, got 5"),
     (model_file_text(**CLASSIFIER, class_of_unit=[0, 2], class_names=["a", "b"]),
      "class_of_unit labels must be non-negative and index class_names, got [0, 2]"),
+    (model_file_text(**CLASSIFIER, class_of_unit=[0, 1], class_names=["a", "a"]),
+     "class_names must not repeat, got ['a', 'a']"),
     (model_file_text(normalization=[["0", "1"]]),
      'model.normalization[0][0] must be a finite number, got "0"'),
     (model_file_text(normalization=[[False, True]]),
@@ -1263,7 +1390,7 @@ CLASSIFIER = {"mode": "classification",
         "no-normalization", "classifier-no-names", "normalization-reversed",
         "class-fraction", "class-string",
         "class-number", "names-string", "names-numbers", "names-number",
-        "class-out-of-range", "normalization-strings", "normalization-bools",
+        "class-out-of-range", "names-repeated", "normalization-strings", "normalization-bools",
         "unknown-key", "unit-unknown-key", "weight-strings", "weight-bool",
         "weights-ragged", "regression-names", "classifier-logistic",
         "regression-classes", "classifier-no-classes", "duplicate-key"])
