@@ -28,21 +28,27 @@ cores) leaves its small-matrix kernel for packed GEMM, which is slower
 at these skinny shapes and rounds some fitness values differently.
 Its rows go unit first, then chromosome, so each unit's activations
 over a block are one contiguous run, and the winner's inhibition is
-gathered at winner * block * N + np.arange(block * N).  Each worker
-writes its blocks' products into one buffer of its own, made with the
-evaluator and reused by every block: fresh products per block fault in
-every page they touch.
+gathered at winner * block * N + np.arange(block * N).  Every block's
+products go into one buffer, made with the evaluator and reused by
+every block: fresh products per block fault in every page they touch.
+A forked helper writes its own copy of that buffer.
 
-Where this process may run on two CPUs or more and each block's
+On Linux, where this process may run on two CPUs or more and a block's
 elementwise passes cover at least 20,000 elements (block * N),
-:func:`train` makes one helper thread for that training and shuts it
-down when the training returns or raises.  The helper scores blocks 1,
-3, 5, ... of a call of two blocks or more while the calling thread
-scores blocks 0, 2, 4, ...; numpy releases the GIL inside each pass.
-Timed on two cores, trainings at the c08 shape (4 x 7000 a pass) and at
-N of 12,000 to 20,000 gained, while c07's (11 x 1047) and serving's
-set-up training (23 x 700) lost to the hand-off.  A chromosome's
-fitness does not depend on its block or on the thread that scores it.
+:func:`train` forks one helper process once its evaluator is made, and
+stops and reaps it when the training returns or raises.  A call of two
+blocks or more sends blocks 1, 3, 5, ... to the helper as raw float64
+rows and scores blocks 0, 2, 4, ... itself.  Unlike a helper thread, it
+waits for no GIL (70-110 us a block of about 370 us at c08's shape).
+Against serial scoring (two cores, 8 interleaved trainings a shape) it
+took 0.59-0.71 of the time from 17,000 to 30,000 elements a pass (c08:
+4 x 7000), and lost 1.13-1.52x at c07's 11 x 1047, at 11 x 1400 and at
+serving's set-up training, 23 x 700: there the round trips and the
+copy-on-write faults after the fork cost more than they save.  With
+one vCPU (``taskset -c 0``) and the gate forced open it lost 1.06-1.10x
+at c08.  Other platforms score serially, as one CPU does.  A
+chromosome's fitness depends neither on its block nor on the process
+that scores it.
 
 Reruns are bit-identical, on one BLAS thread or several and on one CPU
 or two.  Byte identity with older versions is not promised: the draw
@@ -53,6 +59,8 @@ product may round differently.
 from __future__ import annotations
 
 import os
+import signal
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -159,15 +167,15 @@ class FitnessEvaluator:
     (classification: any non-finite excitation) yields the worst-fitness
     sentinel instead of raising.
 
-    A call scores serially unless it is handed ``helper``, an executor
-    with one worker (:func:`train` makes it); then a call with two
-    blocks or more hands blocks 1, 3, 5, ... to it and scores blocks 0,
-    2, 4, ... itself, and returns, or raises, only once the helper is
-    done.  Each worker has its own (M*block, N) product buffer, made with
-    the evaluator, and both read the gather offsets; a block writes the
-    leading rows of its worker's buffer, and a page no block writes is
-    never touched.  One call at a time: an evaluator is not safe to call
-    from two threads at once.
+    A call scores serially unless it is handed ``helper``, a helper
+    process forked for this evaluator (:func:`train` makes it; one made
+    for another evaluator is refused).  Then a call with two blocks or
+    more sends blocks 1, 3, 5, ... to the helper, scores blocks 0, 2,
+    4, ... itself, and returns, or raises, only once the helper has
+    answered.  The (M*block, N) product buffer and the gather offsets are
+    made with the evaluator; a block writes the leading rows of the
+    buffer, and a page no block writes is never touched.  One call at a
+    time: an evaluator is not safe to call from two threads at once.
     """
 
     def __init__(self, dataset: Dataset, shape: ModelShape):
@@ -199,8 +207,8 @@ class FitnessEvaluator:
         self._code = np.min_scalar_type(shape.n_units - 1).type
         n = dataset.n_samples
         self._block = max(1, _BLOCK_MULTIPLY_ADDS // (shape.n_units * shape.pattern_dim * n))
-        # a block's product buffer per worker (0: the calling thread, 1: the helper)
-        self._products = [np.empty((self._block * shape.n_units, n)) for _ in range(2)]
+        # a block's products, and a forked helper's after its first write
+        self._product = np.empty((self._block * shape.n_units, n))
         if shape.mode != CLASSIFICATION:
             # flat index of unit 0's activation per (chromosome, sample) in the
             # (M, block, N) product; the winner's sits winner * block * N on
@@ -211,38 +219,40 @@ class FitnessEvaluator:
         if population.ndim != 2 or population.shape[1] != self.shape.n_genes:
             raise ValueError(f"expected a (P, {self.shape.n_genes}) population, "
                              f"got shape {population.shape}")
+        if helper is not None and helper.evaluator is not self:
+            raise ValueError("a fitness helper scores only for the evaluator it was forked with")
         fits = np.empty(len(population))
         starts = range(0, len(population), self._block)
         if helper is None or len(starts) < 2:
-            self._score_blocks(population, fits, starts, 0)
-        else:
-            future = helper.submit(self._score_blocks, population, fits, starts[1::2], 1)
-            try:
-                self._score_blocks(population, fits, starts[::2], 0)
-            finally:
-                # the helper writes fits and its buffers until it is done;
-                # exception() waits for that, result() raises its error
-                future.exception()
-            future.result()
+            self._score_blocks(population, fits, starts)
+            return fits
+        theirs = np.arange(len(population)) // self._block % 2 == 1
+        helper.send(population[theirs])
+        try:
+            self._score_blocks(population, fits, starts[::2])
+        finally:
+            # the helper is read even when a block here raised, so the next
+            # call starts in step; its error is raised only if none was here
+            answer = helper.receive()
+        if isinstance(answer, Exception):
+            raise answer
+        fits[theirs] = answer
         return fits
 
-    def _score_blocks(self, population: np.ndarray, fits: np.ndarray, starts,
-                      worker: int) -> None:
+    def _score_blocks(self, population: np.ndarray, fits: np.ndarray, starts) -> None:
         """Score the blocks of ``population`` that begin at ``starts`` into ``fits``."""
         # overflow to inf is tolerated here and mapped to the worst-fitness
-        # sentinel instead of raising; errstate is per thread, so each
-        # worker enters its own
+        # sentinel instead of raising
         with np.errstate(over="ignore", invalid="ignore"):
             for start in starts:
                 stop = start + self._block
-                fits[start:stop] = self._score_block(population[start:stop], worker)
+                fits[start:stop] = self._score_block(population[start:stop])
 
-    def _score_block(self, genes: np.ndarray, worker: int) -> np.ndarray:
+    def _score_block(self, genes: np.ndarray) -> np.ndarray:
         n_units = self.shape.n_units
         n_samples = self._design_t.shape[1]
         half = n_units * self.shape.pattern_dim
-        product = self._products[worker]
-        excitation = self._activations(genes[:, :half], product)
+        excitation = self._activations(genes[:, :half])
         top = excitation[0]
         winner = np.zeros(top.shape, dtype=self._code)
         for j in range(1, n_units):
@@ -262,7 +272,7 @@ class FitnessEvaluator:
         if n_units == 1:
             top = top.copy()  # a view of the product, which the next GEMM overwrites
         # top and the winners are all that is left of the excitation
-        inhibition = self._activations(genes[:, half:], product).reshape(-1)
+        inhibition = self._activations(genes[:, half:]).reshape(-1)
         # intp before the product: numpy 1.x value-based casting would keep
         # a small code times block * N in 16 bits, which wraps past 65,535
         index = np.multiply(winner, top.size, dtype=np.intp)
@@ -276,25 +286,152 @@ class FitnessEvaluator:
         mse = np.add.reduce(err, axis=1) / n_samples
         return np.where(np.isfinite(mse), -mse, WORST_FITNESS)
 
-    def _activations(self, weights: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    def _activations(self, weights: np.ndarray) -> np.ndarray:
         """(M, block, N) activations of the units' weight rows over the design.
 
         One GEMM of the (M*block, m) rows, stacked unit first, then
-        chromosome, into the leading rows of ``buf``, a worker's product
-        buffer; the result is a view of it, valid until ``buf`` is
-        written again.  Unit j's activations of the block fill
-        [j * block * N, (j + 1) * block * N) of it, flat.  Excitatory
-        and inhibitory rows go in separate products, one after the other
-        into the same buffer: classification needs only the first, and
-        with one product of both the Mackey-Glass shape (m=21) no longer
-        reproduced the trajectories of the per-chromosome kernel bit for
-        bit.
+        chromosome, into the leading rows of the product buffer; the
+        result is a view of it, valid until the buffer is written again.
+        Unit j's activations of the block fill [j * block * N,
+        (j + 1) * block * N) of it, flat.  Excitatory and inhibitory rows
+        go in separate products, one after the other into the same
+        buffer: classification needs only the first, and with one product
+        of both the Mackey-Glass shape (m=21) no longer reproduced the
+        trajectories of the per-chromosome kernel bit for bit.
         """
         n_chromosomes, n_units = weights.shape[0], self.shape.n_units
         rows = weights.reshape(n_chromosomes, n_units, -1).transpose(1, 0, 2)
         rows = np.ascontiguousarray(rows).reshape(-1, self.shape.pattern_dim)
-        out = np.matmul(rows, self._design_t, out=buf[:len(rows)])
+        out = np.matmul(rows, self._design_t, out=self._product[:len(rows)])
         return out.reshape(n_units, n_chromosomes, -1)
+
+
+# message kinds: a request sends rows or stops the helper; a reply sends
+# fitness values or an error, of type _ERRORS[kind - 1]
+_ROWS = _FITNESS = 0
+_STOP = 1
+_ERRORS = (RuntimeError, ValueError, MemoryError)  # the first stands for any other
+_STOPS = (signal.SIGINT, signal.SIGTERM)  # the helper's handlers of these exit at once
+
+
+class _Helper:
+    """A forked process that scores fitness blocks for one evaluator.
+
+    Each ``send`` of rows gets one reply, which ``receive`` returns: their
+    fitness, or an exception for the helper's error (a ChildProcessError
+    where it has ended).  A message is a header of two int64s, its kind
+    and byte count, then raw float64 values or an error's text.  Leaving
+    a ``with`` block stops the helper and reaps it.
+    """
+
+    def __init__(self, evaluator: FitnessEvaluator):
+        self.evaluator = evaluator
+        fds = os.pipe() + os.pipe()  # requests: read end, write end; then replies
+        # SIGINT and SIGTERM wait until the helper has its own handlers, so
+        # that neither runs the trainer's code, or its exit, in the helper
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOPS)
+        try:
+            self.pid = os.fork()
+        except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for fd in fds:
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve(evaluator, fds[0], fds[3], mask)  # never returns
+        os.close(fds[0])
+        os.close(fds[3])
+        self._requests, self._replies = fds[1], fds[2]
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a waiting signal raises here
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def send(self, rows: np.ndarray) -> None:
+        try:
+            _send(self._requests, _ROWS, rows.tobytes())
+        except OSError as exc:
+            raise ChildProcessError(f"fitness helper process {self.pid} has ended") from exc
+
+    def receive(self) -> np.ndarray | Exception:
+        try:
+            kind, payload = _receive(self._replies)
+        except (OSError, EOFError):
+            return ChildProcessError(f"fitness helper process {self.pid} ended before "
+                                     "it answered")
+        return np.frombuffer(payload) if kind == _FITNESS else _ERRORS[kind - 1](payload.decode())
+
+    def __enter__(self) -> _Helper:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            _send(self._requests, _STOP)
+        except OSError:
+            pass  # it has ended already
+        os.close(self._requests)
+        os.close(self._replies)
+        os.waitpid(self.pid, 0)
+
+
+def _serve(evaluator: FitnessEvaluator, requests: int, replies: int, mask: set) -> None:
+    """The helper process: score each request's rows until told to stop.
+
+    It first closes every descriptor but its two pipe ends, so that it
+    holds no other helper's pipe open, and only then restores ``mask``,
+    the signal mask from before the fork.  It leaves only through
+    ``os._exit``, never flushing inherited stdio or running exit hooks:
+    on a stop message, at the end of its requests, after sending back an
+    error, and on SIGINT or SIGTERM, unless the trainer ignores them.
+    """
+    status = 1
+    try:
+        low, high = sorted((requests, replies))
+        os.closerange(0, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        for signum in _STOPS:
+            if signal.getsignal(signum) != signal.SIG_IGN:  # as for `cmd &` in a script
+                signal.signal(signum, lambda signum, frame: os._exit(128 + signum))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while (request := _receive(requests))[0] != _STOP:
+            population = np.frombuffer(request[1]).reshape(-1, evaluator.shape.n_genes)
+            fits = np.empty(len(population))
+            try:
+                evaluator._score_blocks(population, fits, range(0, len(fits), evaluator._block))
+            except Exception as exc:
+                kind = 1 + next((k for k in (1, 2) if isinstance(exc, _ERRORS[k])), 0)
+                message = str(exc) if kind > 1 else f"{type(exc).__name__}: {exc}"
+                _send(replies, kind, message.encode())
+                break
+            _send(replies, _FITNESS, fits.tobytes())
+        else:
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _send(fd: int, kind: int, payload: bytes = b"") -> None:
+    data = memoryview(np.array([kind, len(payload)], np.int64).tobytes() + payload)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(fd: int) -> tuple[int, bytearray]:
+    """The kind and payload of the next message; EOFError where the pipe ends first."""
+    kind, size = np.frombuffer(_read(fd, 16), np.int64)
+    return int(kind), _read(fd, int(size))
+
+
+def _read(fd: int, size: int) -> bytearray:
+    data = bytearray()  # grows in place: a payload arrives a pipe buffer at a time
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
 
 
 def _next_population(population: np.ndarray, fits: np.ndarray,
@@ -387,7 +524,11 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
     ``config.fitness_stagnation_patience`` consecutive generations.
     The whole run is a pure function of (shape, dataset, config, seed);
     with ``generations=0`` it returns the best member of the random
-    initial population with an empty trace.
+    initial population with an empty trace.  Past the helper gate (see
+    the module docstring) it forks a fitness helper process once the
+    evaluator and the initial population are made; the helper lives
+    exactly as long as the training, which stops and reaps it on return
+    or raise.
 
     Args:
         shape: model shape to optimize.
@@ -400,21 +541,18 @@ def train(shape: ModelShape, dataset: Dataset, config: GaConfig,
 
     Raises:
         ValueError: when no chromosome had a finite fitness.
+        ChildProcessError: when the fitness helper process ended early.
     """
     evaluator = FitnessEvaluator(dataset, shape)
-    helper = None
-    if evaluator._block * dataset.n_samples >= _HELPER_MIN_PASS:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        if cpus >= 2:
-            # imported here, so that importing wtanet does not load it
-            from concurrent.futures import ThreadPoolExecutor
-            helper = ThreadPoolExecutor(1, thread_name_prefix="wtanet-fitness")
     rng = np.random.default_rng(seed)
     lo, hi = config.init_weight_range
     population = rng.uniform(lo, hi, size=(config.population_size, shape.n_genes))
+    forks = (evaluator._block * dataset.n_samples >= _HELPER_MIN_PASS
+             and sys.platform.startswith("linux") and hasattr(os, "fork")
+             and len(os.sched_getaffinity(0)) >= 2)
 
-    with helper or nullcontext():  # leaving shuts the helper down, on return or raise
+    # leaving stops and reaps the helper, on return or raise
+    with _Helper(evaluator) if forks else nullcontext() as helper:
         fits = evaluator(population, helper=helper)
         best_idx = int(np.argmax(fits))
         best_value = float(fits[best_idx])

@@ -1,14 +1,14 @@
-import concurrent.futures
+import json
 import math
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from wtanet import (
     gen_function,
     train,
 )
-from wtanet import ga
+from wtanet import cli, ga
 from wtanet.ga import _next_population
 from wtanet.model import apply_activation
 
@@ -99,23 +99,19 @@ def blocks_of(count, ds, shape, monkeypatch):
     monkeypatch.setattr(ga, "_BLOCK_MULTIPLY_ADDS", count * work)
 
 
-class Counted(ThreadPoolExecutor):
-    """An executor that counts its submits."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
+# a helper is a forked process, which the training gate makes only on Linux
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and sys.platform.startswith("linux")),
+                                reason="needs os.fork on Linux")
 
 
-@pytest.fixture
-def helper():
-    """An executor with one worker, for a test to hand to evaluator calls."""
-    with Counted(1) as pool:
-        yield pool
+class Counted(ga._Helper):
+    """A helper process that counts the calls that send it rows."""
+
+    sent = 0
+
+    def send(self, rows):
+        self.sent += 1
+        super().send(rows)
 
 
 def helpers_on(monkeypatch):
@@ -124,21 +120,25 @@ def helpers_on(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def counted_executors(monkeypatch):
-    """The executors trainings make from here on, each counting its submits."""
+def made_helpers(monkeypatch):
+    """The helpers trainings fork from here on, each counting its sends."""
     made = []
 
     class Made(Counted):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, evaluator):
+            super().__init__(evaluator)  # only this process returns
             made.append(self)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Made)
+    monkeypatch.setattr(ga, "_Helper", Made)
     return made
 
 
-def helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("wtanet-fitness")]
+def assert_reaped(pid):
+    """``pid`` has ended and been reaped: it is no child, and no process, here."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 def trace_bytes(trace):
@@ -375,9 +375,10 @@ class TestFitness:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(population), evaluator._block):
                 genes = population[start:start + evaluator._block]
-                # _activations is (M, block, N); the plain formulation reads (block, M, N)
-                excitation = evaluator._activations(
-                    genes[:, :half], np.empty((len(genes) * n_units, 90))).transpose(1, 0, 2)
+                # _activations is (M, block, N), a view of the product buffer,
+                # which the inhibitory product overwrites; the plain
+                # formulation reads (block, M, N)
+                excitation = evaluator._activations(genes[:, :half]).transpose(1, 0, 2).copy()
                 winners = np.argmax(excitation, axis=1)[:, np.newaxis]
                 if kind == 3:
                     finite = np.isfinite(excitation).all(axis=(1, 2))
@@ -385,8 +386,7 @@ class TestFitness:
                     wrong = np.mean(predicted != ds.targets, axis=1)
                     want.append(np.where(finite, -wrong, -np.inf))
                     continue
-                inhibition = evaluator._activations(
-                    genes[:, half:], np.empty((len(genes) * n_units, 90))).transpose(1, 0, 2)
+                inhibition = evaluator._activations(genes[:, half:]).transpose(1, 0, 2)
                 outputs = apply_activation(
                     kind,
                     np.take_along_axis(excitation, winners, axis=1)[:, 0]
@@ -434,127 +434,240 @@ class TestFitness:
         assert evaluator(lone[None]).tobytes() == alone(lone)
         assert evaluator(population).tobytes() == want
 
+    @needs_fork
     @pytest.mark.parametrize("kind", ["identity", "logistic", 3])
-    def test_helper_scoring_equals_serial_scoring(self, kind, helper, monkeypatch):
+    def test_helper_scoring_equals_serial_scoring(self, kind, monkeypatch):
         # blocks of 3 over 11 chromosomes: the caller scores rows 0-2 and
         # 6-8, the helper rows 3-5 and the short block 9-10, so each
         # worker has tie rows, an overflow and the helper the NaN
         ds, shape, population = edge_population(kind, 11)
         blocks_of(3, ds, shape, monkeypatch)
         evaluator = FitnessEvaluator(ds, shape)
-        got = evaluator(population, helper=helper)
-        assert helper.submitted == 1  # the call handed blocks off
+        with Counted(evaluator) as helper:
+            got = evaluator(population, helper=helper)
+            assert helper.sent == 1  # the call handed blocks off
         want = FitnessEvaluator(ds, shape)(population)
         assert got.tobytes() == want.tobytes()
         assert got[-1] == -np.inf
 
-    def test_helper_blocks_overflow_to_the_sentinel_without_a_warning(self, helper,
-                                                                      monkeypatch):
-        # errstate is per thread: a helper that did not enter its own would
-        # warn on these overflows, and the filter makes that warning raise
+    @needs_fork
+    def test_helper_blocks_overflow_to_the_sentinel_without_a_warning(self, monkeypatch):
+        # the helper is forked under the "error" filter, so a warning there
+        # would raise, come back as its error and raise here
         ds, shape, population = edge_population("identity", 6)
         population[[0, 2, 3]] *= 1e160  # rows 1, 4 and 5 overflow or are NaN already
         blocks_of(1, ds, shape, monkeypatch)
         evaluator = FitnessEvaluator(ds, shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluator(population, helper=helper)
-        assert helper.submitted == 1
+            with Counted(evaluator) as helper:
+                got = evaluator(population, helper=helper)
+                assert helper.sent == 1
         assert (got == -np.inf).all()
 
+    @needs_fork
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_failing_block_raises_only_after_the_other_worker_is_done(
-            self, failing, helper, monkeypatch):
+            self, failing, monkeypatch, tmp_path):
+        # worker 0 is this process, worker 1 the helper; each scored block
+        # appends its worker to a file, which both can see, and the call
+        # raises only once the other worker's three blocks are in it
         ds, shape, population = edge_population("identity", 6)
         blocks_of(1, ds, shape, monkeypatch)
         evaluator = FitnessEvaluator(ds, shape)
-        score, done = evaluator._score_block, []
+        score, done, caller = evaluator._score_block, tmp_path / "done", os.getpid()
+        done.write_text("")
 
-        def scored(genes, worker):
+        def scored(genes):
+            worker = int(os.getpid() != caller)
             if worker == failing:
                 raise RuntimeError("block failed")
             time.sleep(0.02)
-            done.append(worker)
-            return score(genes, worker)
+            with open(done, "a") as log:
+                log.write(str(worker))
+            return score(genes)
 
         monkeypatch.setattr(evaluator, "_score_block", scored)
-        with pytest.raises(RuntimeError, match="block failed"):
-            evaluator(population, helper=helper)
-        assert done == [1 - failing] * 3
+        with Counted(evaluator) as helper:  # forked with the patch
+            with pytest.raises(RuntimeError, match="block failed"):
+                evaluator(population, helper=helper)
+            assert done.read_text() == str(1 - failing) * 3
 
-    def test_concurrent_callers_share_the_helper(self, helper, monkeypatch):
-        # more calling threads than cores, switching as often as possible;
-        # each result must equal its serial scoring bit for bit
+    @needs_fork
+    def test_a_helper_refuses_another_evaluator(self, monkeypatch):
+        # a helper holds the evaluator it was forked with, so it cannot
+        # score for another, even one of the same data and shape
         ds, shape, population = edge_population("identity", 8)
         blocks_of(1, ds, shape, monkeypatch)
-        want = FitnessEvaluator(ds, shape)(population).tobytes()
-        results = []
+        evaluator, other = FitnessEvaluator(ds, shape), FitnessEvaluator(ds, shape)
+        with Counted(evaluator) as helper:
+            for call in (other, lambda genes, helper: other(genes[:1], helper=helper)):
+                with pytest.raises(ValueError, match="the evaluator it was forked with"):
+                    call(population, helper=helper)
+            assert helper.sent == 0
+            got = evaluator(population, helper=helper)
+            assert helper.sent == 1
+        assert got.tobytes() == other(population).tobytes()
 
-        def caller():
-            evaluator = FitnessEvaluator(ds, shape)
-            results.extend(evaluator(population, helper=helper).tobytes()
-                           for _ in range(10))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [want] * 40
-
+    @needs_fork
     def test_train_makes_a_helper_only_past_the_gate_on_two_cpus(self, monkeypatch):
-        # short passes or one CPU: no helper; long passes on two CPUs: one,
-        # which scores blocks and is shut down by the time train returns;
-        # all three trainings give the same bits
+        # short passes, one CPU, another platform or no os.fork: no helper;
+        # long passes on two CPUs on Linux: one, which scores blocks and is
+        # reaped by the time train returns; all five trainings give the same bits
         ds, shape = tiny_dataset(), tiny_shape()
         blocks_of(3, ds, shape, monkeypatch)
-        made = counted_executors(monkeypatch)
+        made = made_helpers(monkeypatch)
         config = GaConfig(population_size=12, generations=5)
+        fork = os.fork
         runs = []
-        for gate, cpus in [(math.inf, {0, 1}), (0, {0}), (0, {0, 1})]:
+        for gate, cpus, platform, forks in [(math.inf, {0, 1}, "linux", True),
+                                            (0, {0}, "linux", True),
+                                            (0, {0, 1}, "darwin", True),
+                                            (0, {0, 1}, "linux", False),
+                                            (0, {0, 1}, "linux", True)]:
             monkeypatch.setattr(ga, "_HELPER_MIN_PASS", gate)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                                 raising=False)
-            runs.append(trace_bytes(train(shape, ds, config, 3)))
-            assert len(made) == (1 if gate == 0 and len(cpus) == 2 else 0)
-        assert made[0].submitted > 0
-        with pytest.raises(RuntimeError):
-            made[0].submit(int)  # shut down
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+            monkeypatch.setattr(sys, "platform", platform)
+            if not forks:
+                monkeypatch.delattr(os, "fork")
+            try:
+                runs.append(trace_bytes(train(shape, ds, config, 3)))
+            finally:
+                monkeypatch.setattr(sys, "platform", "linux")
+                monkeypatch.setattr(os, "fork", fork, raising=False)
+            assert len(made) == (1 if len(runs) == 5 else 0)
+        assert made[0].sent > 0
+        assert_reaped(made[0].pid)
+        assert runs == [runs[0]] * 5
 
-    def test_no_helper_thread_outlives_a_training(self, monkeypatch):
+    @needs_fork
+    def test_no_helper_process_outlives_a_training(self, monkeypatch):
+        # reaped after a return, after a raise in the offspring step of
+        # this process, and after a block raises in the helper, whose
+        # ValueError keeps its type and message
         ds, shape = tiny_dataset(), tiny_shape()
         blocks_of(3, ds, shape, monkeypatch)
         helpers_on(monkeypatch)
-        made = counted_executors(monkeypatch)
+        made = made_helpers(monkeypatch)
         config = GaConfig(population_size=12, generations=3)
         train(shape, ds, config, 0)
-        assert made[0].submitted > 0 and not helper_threads()
+        assert made[0].sent > 0
+        assert_reaped(made[0].pid)
 
         def failing(*args):
             raise RuntimeError("offspring failed")
 
         # the initial population is scored, with the helper, before the raise
-        monkeypatch.setattr(ga, "_next_population", failing)
-        with pytest.raises(RuntimeError, match="offspring failed"):
-            train(shape, ds, config, 0)
-        assert len(made) == 2 and made[1].submitted > 0
-        assert not helper_threads()
+        with monkeypatch.context() as patch:
+            patch.setattr(ga, "_next_population", failing)
+            with pytest.raises(RuntimeError, match="offspring failed"):
+                train(shape, ds, config, 0)
+        assert len(made) == 2 and made[1].sent > 0
+        assert_reaped(made[1].pid)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+        score, caller = FitnessEvaluator._score_block, os.getpid()
+
+        def failing_in_the_helper(self, genes):
+            if os.getpid() != caller:
+                raise ValueError(f"helper block failed in {os.getpid()}")
+            return score(self, genes)
+
+        monkeypatch.setattr(FitnessEvaluator, "_score_block", failing_in_the_helper)
+        with pytest.raises(ValueError, match="^helper block failed in ") as raised:
+            train(shape, ds, config, 0)
+        assert len(made) == 3 and made[2].sent == 1
+        assert str(raised.value) == f"helper block failed in {made[2].pid}"
+        assert_reaped(made[2].pid)
+
+    @needs_fork
+    def test_a_killed_helper_ends_train_with_one_error_line(self, monkeypatch, tmp_path,
+                                                          capsys):
+        # SIGKILL on the helper in the middle of a training: the call that
+        # meets the ended helper raises, and main words it as one line
+        helpers_on(monkeypatch)
+        monkeypatch.setattr(ga, "_BLOCK_MULTIPLY_ADDS", 1)  # one chromosome a block
+        killed = []
+
+        class Killed(Counted):
+            def send(self, rows):
+                super().send(rows)
+                if self.sent == 3:
+                    os.kill(self.pid, signal.SIGKILL)
+                    killed.append(self.pid)
+
+        monkeypatch.setattr(ga, "_Helper", Killed)
+        config = {"dataset": {"generator": "f1", "n_samples": 50},
+                  "expansion": {"order": 1}, "model": {"units": 2},
+                  "ga": {"population_size": 12, "generations": 20}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["--quiet", "--out-dir", str(out), "train",
+                         str(tmp_path / "config.json")]) == 1
+        stderr = capsys.readouterr().err
+        assert re.fullmatch(rf"error:io: fitness helper process {killed[0]} \S.*\n", stderr)
+        assert_reaped(killed[0])
+        assert not out.exists()
+
+    @needs_fork
+    def test_a_sigint_during_the_fork_runs_no_trainer_code_in_the_helper(self):
+        # a fresh process: Ctrl-C lands on both sides of the fork before the
+        # helper has its own handlers; the trainer gets the KeyboardInterrupt
+        # and reaps the helper, and the helper runs neither the trainer's
+        # code nor its exit hooks
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ga.__file__)))
+        code = ("import atexit, os, signal, threading\n"
+                "from wtanet import ExpansionSpec, FitnessEvaluator, ModelShape, ga\n"
+                "from wtanet import gen_function\n"
+                "fork = os.fork\n"
+                "def fork_into_a_sigint():\n"
+                "    pid = fork()\n"
+                "    signal.pthread_kill(threading.get_ident(), signal.SIGINT)\n"
+                "    return pid\n"
+                "os.fork = fork_into_a_sigint\n"
+                "atexit.register(lambda: print('exit hooks', os.getpid(), flush=True))\n"
+                "shape = ModelShape(spec=ExpansionSpec(input_dim=1, order=1), n_units=2)\n"
+                "evaluator = FitnessEvaluator(gen_function('f1', 20, seed=0), shape)\n"
+                "try:\n"
+                "    ga._Helper(evaluator)\n"
+                "except KeyboardInterrupt:\n"
+                "    print('interrupted', os.getpid(), flush=True)\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    print('reaped', flush=True)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert run.returncode == 0, run.stderr
+        pid = re.fullmatch(r"interrupted (\d+)\n.*", run.stdout, re.DOTALL)[1]
+        assert run.stdout == f"interrupted {pid}\nreaped\nexit hooks {pid}\n"
+
+    @needs_fork
+    def test_a_helper_ignores_the_sigint_its_trainer_ignores(self, monkeypatch):
+        # a training started as `cmd &` from a script ignores Ctrl-C, and so
+        # must its helper, or the Ctrl-C would end the training with an error
+        ds, shape, population = edge_population("identity", 8)
+        blocks_of(1, ds, shape, monkeypatch)
+        evaluator = FitnessEvaluator(ds, shape)
+        handler = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            with Counted(evaluator) as helper:
+                evaluator(population, helper=helper)  # the helper is serving now
+                os.kill(helper.pid, signal.SIGINT)
+                got = evaluator(population, helper=helper)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert helper.sent == 2
+        assert got.tobytes() == FitnessEvaluator(ds, shape)(population).tobytes()
+
+    @needs_fork
     def test_a_forked_child_scores_with_a_helper_of_its_own(self, monkeypatch):
-        # the child of a process that has trained with a helper inherits
-        # no executor, and its own training makes one and gives the same bits
+        # the child of a process that has trained with a helper forks a
+        # helper of its own for its own training, which gives the same bits
         ds, shape = tiny_dataset(), tiny_shape()
         blocks_of(3, ds, shape, monkeypatch)
         helpers_on(monkeypatch)
-        made = counted_executors(monkeypatch)
+        made = made_helpers(monkeypatch)
         config = GaConfig(population_size=12, generations=5)
         want = trace_bytes(train(shape, ds, config, 1))
         assert len(made) == 1
@@ -563,7 +676,7 @@ class TestFitness:
         if pid == 0:  # the child: train, report, exit without pytest's teardown
             try:
                 got = trace_bytes(train(shape, ds, config, 1))
-                os.write(write_end, got if len(made) == 2 else b"no helper")
+                os.write(write_end, got if len(made) == 2 and made[1].sent else b"no helper")
             finally:
                 os._exit(0)
         os.close(write_end)
@@ -577,13 +690,15 @@ class TestFitness:
             os.waitpid(pid, 0)
         assert got == want
 
+    @needs_fork
     def test_two_trainings_in_two_threads_give_the_serial_models(self, monkeypatch):
+        # each training forks its own helper while the other may be scoring
         ds, shape = tiny_dataset(), tiny_shape()
         blocks_of(3, ds, shape, monkeypatch)
         config = GaConfig(population_size=12, generations=10)
         want = [trace_bytes(train(shape, ds, config, seed)) for seed in (0, 1)]
         helpers_on(monkeypatch)
-        made = counted_executors(monkeypatch)
+        made = made_helpers(monkeypatch)
         got = [None, None]
 
         def run(seed):
@@ -600,37 +715,64 @@ class TestFitness:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(made) == 2 and all(pool.submitted > 0 for pool in made)
+        assert len(made) == 2 and all(helper.sent > 0 for helper in made)
+        for helper in made:
+            assert_reaped(helper.pid)
         assert got == want
 
+    @needs_fork
+    def test_a_training_that_makes_a_helper_records_no_warning(self, monkeypatch):
+        # Python 3.12 and later warn at a fork while other threads run
+        ds, shape = tiny_dataset(), tiny_shape()
+        blocks_of(3, ds, shape, monkeypatch)
+        helpers_on(monkeypatch)
+        made = made_helpers(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train(shape, ds, GaConfig(population_size=12, generations=3), 0)
+        assert len(made) == 1 and made[0].sent > 0
+        assert [str(warning.message) for warning in caught] == []
+
     def test_importing_the_cli_leaves_the_helper_unmade(self):
-        # a fresh process: concurrent.futures (and the logging it pulls
-        # in) is imported only by a training that makes a helper
+        # a fresh process: importing the command line starts no thread and
+        # no process, and loads no executor or multiprocessing machinery
         src = os.path.dirname(os.path.dirname(os.path.abspath(ga.__file__)))
-        code = "import sys, wtanet.cli; sys.exit('concurrent.futures' in sys.modules)"
+        code = ("import os, sys, threading, wtanet.cli\n"
+                "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+                "assert not loaded, loaded\n"
+                "assert threading.active_count() == 1\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "except ChildProcessError:\n"
+                "    pass\n"
+                "else:\n"
+                "    sys.exit('a child process was made')\n")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert run.returncode == 0, run.stderr or "concurrent.futures was imported"
+        assert run.returncode == 0, run.stderr
 
-    def test_buffers_are_made_with_the_evaluator(self, helper):
-        # each worker's buffer holds a whole block from construction on, and
-        # calls of one row, one block and several blocks reuse the same arrays
+    @needs_fork
+    def test_buffers_are_made_with_the_evaluator(self):
+        # the product buffer holds a whole block from construction on, and
+        # calls of one row, one block and several blocks, with a helper,
+        # reuse the same arrays
         ds = tiny_dataset(n=30)
         shape = tiny_shape(order=0, n_units=1)
         evaluator = FitnessEvaluator(ds, shape)
         block = evaluator._block
         assert block == 16_666
-        products, offsets = list(evaluator._products), evaluator._offsets
-        assert [product.shape for product in products] == [(block, 30)] * 2
+        product, offsets = evaluator._product, evaluator._offsets
+        assert product.shape == (block, 30)
         # unit 0's activations of the (M, block, N) product, flat
         assert offsets.shape == (block, 30)
         assert (offsets.ravel() == np.arange(block * 30)).all()
         genes = np.random.default_rng(46).uniform(-1, 1, size=(3 * block + 1, shape.n_genes))
         first = evaluator(genes[:block])
         assert evaluator(genes[:1]).tobytes() == first[:1].tobytes()
-        assert evaluator(genes, helper=helper)[:block].tobytes() == first.tobytes()
-        assert helper.submitted == 1
-        assert all(a is b for a, b in zip(evaluator._products, products, strict=True))
+        with Counted(evaluator) as helper:
+            assert evaluator(genes, helper=helper)[:block].tobytes() == first.tobytes()
+            assert helper.sent == 1
+        assert evaluator._product is product
         assert evaluator._offsets is offsets
 
     def test_only_populations_are_scored(self):

@@ -11,8 +11,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -189,8 +191,8 @@ def test_eval_into_a_pipe_with_no_reader_exits_1_without_an_error_line(f1, tmp_p
 
 
 # a c08-shaped training (N_train 7000, K=3, M=4) scores 4 chromosomes a
-# block, a product large enough for OpenBLAS to thread, with passes long
-# enough for the fitness helper thread, which one CPU leaves out; a
+# block, with passes long enough for the fitness helper process, which
+# one CPU leaves out; a
 # c04-shaped training (Iris-format classification, K=1, M=6, stratified)
 # scores the whole population in one block
 TRAININGS = {
@@ -236,3 +238,47 @@ def test_same_model_and_trace_as_the_default(default_training, leg):
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.name)
 def test_demo_exits_0(demo, tmp_path):
     ok(python(demo, cwd=tmp_path))
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and sys.platform.startswith("linux")
+                         and len(os.sched_getaffinity(0)) >= 2),
+                    reason="the fitness helper is forked on Linux with two CPUs or more")
+@pytest.mark.parametrize("signum, to_group", [(signal.SIGINT, True), (signal.SIGTERM, False)],
+                         ids=["sigint-to-the-group", "sigterm-to-the-trainer"])
+def test_an_interrupted_training_leaves_no_process(tmp_path, signum, to_group):
+    # a c08 training past the helper gate, stopped once its helper runs:
+    # Ctrl-C reaches both processes, and the trainer stops and reaps its
+    # helper; `kill` reaches the trainer only, which dies at once, and the
+    # helper ends at the end of its requests (init reaps it)
+    ok(wtanet("--seed", "4", "synth", "f1", "noise.csv", "--n", "10000", "--noise", "0.1",
+              cwd=tmp_path))
+    config = {**TRAININGS["c08"],
+              "ga": {"generations": 100_000, "fitness_stagnation_patience": 100_000}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    trainer = subprocess.Popen([sys.executable, "-m", "wtanet", "--quiet", "--out-dir", "out",
+                                "train", "config.json"], cwd=tmp_path,
+                               env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                               start_new_session=True)
+    children = Path(f"/proc/{trainer.pid}/task/{trainer.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while not children.read_text().split():
+            assert trainer.poll() is None and time.monotonic() < deadline, "no helper"
+            time.sleep(0.01)
+        (os.killpg if to_group else os.kill)(trainer.pid, signum)
+        trainer.wait(timeout=60)
+        deadline = time.monotonic() + 20
+        while True:
+            try:
+                os.killpg(trainer.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the training is left"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(trainer.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        trainer.wait()
