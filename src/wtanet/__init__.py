@@ -4,27 +4,23 @@ A single-layer model whose units pair excitatory and inhibitory weight
 vectors over a trigonometric functional-link expansion of the input;
 hard winner-take-all competition selects the responding unit.  The
 package bundles the genetic-algorithm trainer, standalone k-selection
-and WTA-reducible linear-program solvers, dataset plumbing and a
-benchmark harness.
+and WTA-reducible linear-program solvers, dataset plumbing and the
+experiment pipeline.
 """
 
 import types
 
 from .bench import (
-    Density,
     DensityReport,
     EvalReport,
-    Expansion,
     ExperimentResult,
-    Model,
     OracleFit,
     PhaseError,
-    RunConfig,
-    config_digest,
     density_check,
     least_squares_oracle,
     run_experiment,
 )
+from .config import Density, Expansion, Model, RunConfig, config_digest
 from .data import (
     CLASSIFICATION,
     REGRESSION,

@@ -10,7 +10,8 @@ stderr; categories are io, config (the run config), data (a data CSV,
 model or instance file, a value a computation rejects, an allocation
 the host refuses, or a global flag the command does not read) and the
 phase names train, split, evaluate, write, which also report a refused
-allocation in their phase.  A closed stdout exits 1 with no such line.
+allocation in their phase.  A Ctrl-C exits 130 after one
+error:interrupted line; a closed stdout exits 1 with no such line.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import os
 import sys
 from dataclasses import fields, make_dataclass, replace
 
-from . import bench, data as datamod
-from .bench import PhaseError, RunConfig, config_digest, run_experiment
+from . import data as datamod
+from .bench import PhaseError, run_density, run_experiment
+from .config import RunConfig, config_digest
 from .data import (
     gen_function,
     gen_mackey_glass,
@@ -35,7 +37,7 @@ from .data import (
     dataset_to_csv,
     write_csv,
 )
-from .model import load_model, predict
+from .model import evaluate, load_model, predict
 from .schema import parse, read_json
 from .select import kwta, solve_box_lp, solve_ksum_lp, solve_simplex_lp
 
@@ -168,7 +170,7 @@ def _cmd_eval(args) -> int:
         header=args.header,
         normalization=model.normalization,
     )
-    metrics, confusion, _ = bench._evaluate_model(model, dataset)
+    metrics, confusion, _ = evaluate(model, dataset)
     if confusion is not None:
         metrics["confusion"] = confusion
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -243,7 +245,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    report, out_path = bench.run_density(_read_config(args), args.out_dir)
+    report, out_path = run_density(_read_config(args), args.out_dir)
     if not args.quiet:
         status = "non-increasing" if report.non_increasing else "NOT non-increasing"
         print(f"density: {status} within slack {report.slack}; wrote {out_path}")
@@ -261,9 +263,9 @@ _COMMANDS = {
 }
 
 
-def _fail(category: str, message: str) -> int:
+def _fail(category: str, message: str, code: int = 1) -> int:
     print(f"error:{category}: {message}", file=sys.stderr)
-    return 1
+    return code
 
 
 def main(argv=None) -> int:
@@ -279,6 +281,8 @@ def main(argv=None) -> int:
         return code
     except PhaseError as exc:
         return _fail(exc.phase, exc.message)
+    except KeyboardInterrupt:  # Ctrl-C: 130 = 128 + SIGINT, as a shell reports it
+        return _fail("interrupted", "stopped by SIGINT", 130)
     except BrokenPipeError:
         # the reader closed stdout (`wtanet eval ... | head -1`): exit 1
         # as quietly as `cat` would, with no error line; stdout goes to

@@ -16,8 +16,9 @@ from typing import Literal
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION
+from .data import CLASSIFICATION, REGRESSION, Dataset
 from .expansion import ExpansionSpec, expand_batch, expansion_dim
+from .metrics import accuracy, confusion_matrix, mae, nrmse, rmse
 from .schema import parse, read_json, write_json
 
 MODEL_FORMAT_VERSION = 2
@@ -188,6 +189,26 @@ def predict(model: WtaModel, inputs) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         raise ValueError(f"non-finite output at row {int(bad[0])}")
     return winners, outputs
+
+
+def evaluate(model: WtaModel, data: Dataset) -> tuple[dict, list | None, np.ndarray]:
+    """Scores of the model on labelled ``data``: metrics, confusion and the outputs."""
+    _, outputs = predict(model, data.inputs)
+    if model.shape.mode == CLASSIFICATION:
+        # the file's first-appearance label ids, in the model's label order
+        position = {name: i for i, name in enumerate(model.class_names)}
+        unknown = [n for n in data.label_names if n not in position]
+        if unknown:
+            raise ValueError(f"labels {unknown} are not known to the model")
+        targets = np.array([position[name] for name in data.label_names])[data.targets]
+        metrics = {"accuracy": accuracy(outputs, targets)}
+        confusion = confusion_matrix(outputs, targets, len(model.class_names)).tolist()
+        return metrics, confusion, outputs
+    metrics = {"rmse": rmse(outputs, data.targets), "mae": mae(outputs, data.targets)}
+    with np.errstate(over="ignore", invalid="ignore"):  # nrmse refuses a spread past inf
+        if np.std(data.targets) != 0.0:  # constant targets have no nrmse
+            metrics["nrmse"] = nrmse(outputs, data.targets)
+    return metrics, None, outputs
 
 
 def model_to_dict(model: WtaModel) -> dict:

@@ -1165,6 +1165,15 @@ class TestClosedStdout:
         assert replaced.name == os.devnull
 
 
+def test_a_keyboard_interrupt_exits_130_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "kselect", interrupted)
+    code, out, err = run_cli(capsys, "kselect", str(tmp_path / "instance.json"))
+    assert (code, out, err) == (130, "", "error:interrupted: stopped by SIGINT\n")
+
+
 class TestCsvText:
     def test_eval_reads_a_csv_with_a_byte_order_mark(self, tmp_path, capsys, f1_model):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"

@@ -249,7 +249,8 @@ def test_an_interrupted_training_leaves_no_process(tmp_path, signum, to_group):
     # a c08 training past the helper gate, stopped once its helper runs:
     # Ctrl-C reaches both processes, and the trainer stops and reaps its
     # helper; `kill` reaches the trainer only, which dies at once, and the
-    # helper ends at the end of its requests (init reaps it)
+    # helper ends at the end of its requests (init reaps it).  Ctrl-C ends
+    # the command with one error line and exit 130; `kill` leaves no line
     ok(wtanet("--seed", "4", "synth", "f1", "noise.csv", "--n", "10000", "--noise", "0.1",
               cwd=tmp_path))
     config = {**TRAININGS["c08"],
@@ -258,8 +259,8 @@ def test_an_interrupted_training_leaves_no_process(tmp_path, signum, to_group):
     trainer = subprocess.Popen([sys.executable, "-m", "wtanet", "--quiet", "--out-dir", "out",
                                 "train", "config.json"], cwd=tmp_path,
                                env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                               start_new_session=True)
+                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                               text=True, start_new_session=True)
     children = Path(f"/proc/{trainer.pid}/task/{trainer.pid}/children")
     try:
         deadline = time.monotonic() + 60
@@ -267,7 +268,7 @@ def test_an_interrupted_training_leaves_no_process(tmp_path, signum, to_group):
             assert trainer.poll() is None and time.monotonic() < deadline, "no helper"
             time.sleep(0.01)
         (os.killpg if to_group else os.kill)(trainer.pid, signum)
-        trainer.wait(timeout=60)
+        _, stderr = trainer.communicate(timeout=60)
         deadline = time.monotonic() + 20
         while True:
             try:
@@ -276,6 +277,10 @@ def test_an_interrupted_training_leaves_no_process(tmp_path, signum, to_group):
                 break
             assert time.monotonic() < deadline, "a process of the training is left"
             time.sleep(0.05)
+        if to_group:
+            assert (trainer.returncode, stderr) == (130, "error:interrupted: stopped by SIGINT\n")
+        else:
+            assert (trainer.returncode, stderr) == (-signal.SIGTERM, "")
     finally:
         try:
             os.killpg(trainer.pid, signal.SIGKILL)

@@ -11,7 +11,7 @@ from typing import Literal
 import pytest
 
 from wtanet import cli
-from wtanet.bench import RunConfig
+from wtanet.config import RunConfig
 from wtanet.model import ModelFile
 from wtanet.schema import parse
 
